@@ -5,9 +5,10 @@
 Subcommands mirror the experiment kinds (simulate, meanfield, error,
 chaos, stationary, concentration, tree); `validate` parses the config
 and reports every violation.  Flags override the corresponding config
-keys; OPINIONLAB_THREADS overrides the thread count from the
-environment.  Exit codes: 0 success, 2 config error, 3 runtime/budget
-error.
+keys; the thread count comes from --threads, else OPINIONLAB_THREADS,
+else the config.  Exit codes: 0 success, 2 config error (also a thread
+count that is not a positive integer, or a `record` vertex id that is
+negative or not below n), 3 runtime/budget error.
 """
 
 import argparse
@@ -57,7 +58,11 @@ def main(argv=None):
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out = args.out
-    cfg.threads = resolve_threads(args.threads if args.threads is not None else cfg.threads)
+    try:
+        cfg.threads = resolve_threads(args.threads, default=cfg.threads)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         summary = run(cfg)
     except ConfigError as exc:

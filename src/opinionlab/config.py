@@ -285,6 +285,9 @@ def parse_config(text):
         problems.append("n_grid: must not be empty")
     if any(n < 1 for n in n_grid):
         problems.append("n_grid: entries must be >= 1")
+    record = [int(tok) for tok in take("record", "0").split()]
+    if any(v < 0 for v in record):
+        problems.append(f"record: vertex ids must be >= 0, got {min(record)}")
 
     theta_rule = take("theta", "log:1")
     for n in n_grid:
@@ -329,7 +332,7 @@ def parse_config(text):
         count_law=take("count_law", "poisson"),
         conc_weight=take("conc_weight", _DEFAULTS["conc_weight"]),
         conc_value=take("conc_value", _DEFAULTS["conc_value"]),
-        record=[int(tok) for tok in take("record", "0").split()],
+        record=record,
     )
     for key in pairs:
         problems.append(f"{key}: unknown key")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
+from .graph import normalize_weights, sample_graph
 from .rng import substream
 
 BOUND_TOL = 1e-12
@@ -120,6 +121,27 @@ def initial_state(spec, graph, seed):
     return OpinionState(R=R0, k=0)
 
 
+def run_graph(spec, labels, theta, k, seed, observe):
+    """Sample one graph realization and its weights from seed, then run
+    k steps on it with iterate; returns the final state."""
+    graph = sample_graph(spec, labels, theta, seed)
+    return iterate(spec, graph, normalize_weights(graph), k, seed, observe)
+
+
+def iterate(spec, graph, influence, k, seed, observe):
+    """The step loop, from the (seed, INIT) initial state with (seed, SIGNALS)
+    frames in step order; observe(state, frame) sees each state and the
+    frame that produced it (None for the initial one).  Returns the last."""
+    state = initial_state(spec, graph, seed)
+    signal_rng = substream(seed, rngmod.SIGNALS)
+    observe(state, None)
+    for _ in range(k):
+        frame = sample_signal_frame(spec, graph, signal_rng)
+        state = step(state, influence, frame, spec.c, spec.d)
+        observe(state, frame)
+    return state
+
+
 def simulate(spec, graph, influence, k_max, seed, record=None, keep_signals=False):
     """Iterate the recursion for k_max steps.
 
@@ -127,30 +149,35 @@ def simulate(spec, graph, influence, k_max, seed, record=None, keep_signals=Fals
     keep_signals=True the per-step frames are returned as well (oracle
     mode; default streaming mode keeps O(n * ell) memory).
     """
-    init_rng = substream(seed, rngmod.INIT)
-    signal_rng = substream(seed, rngmod.SIGNALS)
-    state = initial_state(spec, graph, init_rng)
-    sel = np.asarray(record, dtype=np.int64) if record is not None else None
-    traj = None
-    if sel is not None:
-        traj = np.empty((sel.size, spec.ell, k_max + 1))
-        traj[:, :, 0] = state.R[sel]
-    history = [] if keep_signals else None
-    for k in range(1, k_max + 1):
-        frame = sample_signal_frame(spec, graph, signal_rng)
-        if keep_signals:
+    sel = np.asarray(record if record is not None else [], dtype=np.int64)
+    traj = np.empty((sel.size, spec.ell, k_max + 1))
+    history = []
+
+    def observe(state, frame):
+        traj[:, :, state.k] = state.R[sel]
+        if keep_signals and frame is not None:
             history.append(frame)
-        state = step(state, influence, frame, spec.c, spec.d)
-        if sel is not None:
-            traj[:, :, k] = state.R[sel]
-    record_out = None
-    if sel is not None:
-        record_out = TrajectoryRecord(
-            vertices=sel, communities=graph.labels[sel], values=traj
-        )
-    if keep_signals:
-        return record_out, state, history
-    return record_out, state
+
+    state = iterate(spec, graph, influence, k_max, seed, observe)
+    record_out = None if record is None else TrajectoryRecord(sel, graph.labels[sel], traj)
+    return (record_out, state, history) if keep_signals else (record_out, state)
+
+
+class ExplicitProcess:
+    """The explicit approximation over rows, one step per advance: with
+    a = 1-c-d, stream_k = a * stream_{k-1} + W_k and the state is
+    stream_k + base_k + a^k * R0, a^k kept as a running product."""
+
+    def __init__(self, R0, c, d):
+        self.R0 = R0
+        self.a = 1.0 - c - d
+        self.stream = np.zeros_like(R0)
+        self.decay = 1.0
+
+    def advance(self, W, base):
+        self.stream = self.a * self.stream + W
+        self.decay *= self.a
+        return self.stream + base + self.decay * self.R0
 
 
 def closed_form_state(influence, signal_history, R0, c, d, k):

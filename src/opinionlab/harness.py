@@ -6,6 +6,7 @@ with LF line endings and a header on the first line; numbers use
 Python's shortest round-trip representation.
 """
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -19,8 +20,8 @@ from . import rng as rngmod
 from .rng import substream
 from .config import ConfigError, serialize_config, theta_value
 from .distributions import parse_scalar
-from .graph import sample_graph, sample_labels, normalize_weights
-from .dynamics import simulate
+from .graph import sample_graph, sample_labels
+from .dynamics import run_graph
 from .meanfield import build_meanfield_model, mixing_matrix, regime_stats
 from .gwtree import a_s_profile, neighborhood_diagnostic, offspring_means
 from .metrics import (
@@ -55,7 +56,9 @@ def write_csv(path, header, rows):
 
 
 def config_hash(cfg):
-    return hashlib.sha256(serialize_config(cfg).encode("utf-8")).hexdigest()
+    """Digest of the config fields that can change output bytes."""
+    text = serialize_config(dataclasses.replace(cfg, threads=1, out=""))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def run(cfg, out_dir=None):
@@ -84,6 +87,7 @@ def run(cfg, out_dir=None):
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
         "kind": cfg.kind,
+        "threads": cfg.threads,
         "versions": {
             "opinionlab": __version__,
             "numpy": np.__version__,
@@ -300,18 +304,23 @@ def _run_simulate(cfg, out):
     n = cfg.n_grid[0]
     theta = theta_value(cfg.theta_rule, n)
     k_max = _k_max(cfg)
-    record = [v for v in cfg.record if v < n]
+    record = cfg.record
+    if any(v >= n for v in record):
+        raise ConfigError(f"record: vertex ids must be below n = {n}, got {max(record)}")
     rows = []
     for rep in range(cfg.inner_reps):
         labels = sample_labels(spec, n, (cfg.seed, rep))
-        graph = sample_graph(spec, labels, theta, (cfg.seed, rep))
-        influence = normalize_weights(graph)
-        traj, _ = simulate(spec, graph, influence, k_max, (cfg.seed, rep), record=record)
-        for vi, v in enumerate(traj.vertices):
+        traj = np.empty((len(record), spec.ell, k_max + 1))
+
+        def observe(state, frame):
+            traj[:, :, state.k] = state.R[record]
+
+        run_graph(spec, labels, theta, k_max, (cfg.seed, rep), observe)
+        for vi, v in enumerate(record):
             for t in range(k_max + 1):
                 for topic in range(spec.ell):
-                    rows.append((rep, int(v), int(traj.communities[vi]), t, topic,
-                                 float(traj.values[vi, topic, t])))
+                    rows.append((rep, int(v), int(labels[v]), t, topic,
+                                 float(traj[vi, topic, t])))
     write_csv(
         out / "trajectories.csv",
         ["replication", "vertex", "community", "time", "topic", "value"],

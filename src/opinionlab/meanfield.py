@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .rng import substream
-from .dynamics import hop_weight_table
+from .dynamics import ExplicitProcess, hop_weight_table
 
 _DENSE_ORACLE_MAX_N = 4000
 
@@ -170,16 +170,9 @@ def meanfield_trajectory(community, signal_draws, mixing, signal_mean, initial_m
         raise ValueError(f"need {k_max} signal rows, got {signal_draws.shape[0]}")
     if profile is None:
         profile = deterministic_profile(mixing, signal_mean, initial_mean, c, d, k_max)
-    a = 1.0 - c - d
-    out = np.empty((k_max + 1, initial_row.size))
-    out[0] = initial_row
-    stream = np.zeros_like(initial_row)
-    decay = 1.0
-    for k in range(1, k_max + 1):
-        stream = a * stream + signal_draws[k - 1]
-        decay *= a
-        out[k] = stream + profile[k, community] + decay * initial_row
-    return out
+    process = ExplicitProcess(initial_row, c, d)
+    steps = [process.advance(signal_draws[k - 1], profile[k, community]) for k in range(1, k_max + 1)]
+    return np.array([initial_row] + steps)
 
 
 def intermediate_trajectory(community, signal_draws, initial_row, model, c, d, k_max,
@@ -259,28 +252,35 @@ class StationarySampler:
         self.spec = spec
         self.model = model
         self.tol = float(tol)
-        self.horizon = stationary_horizon(tol, spec.d, spec.ell)
-        # signal-only deterministic part: all hop terms available in the long run
-        table = hop_weight_table(self.horizon, spec.c, spec.d)
-        powers = np.empty((self.horizon + 1, spec.K, spec.ell))
-        powers[0] = model.signal_mean
-        for s in range(1, self.horizon + 1):
-            powers[s] = model.mixing @ powers[s - 1]
-        self.det = np.zeros((spec.K, spec.ell))
-        for t in range(1, self.horizon + 1):
-            self.det += np.tensordot(table[t, 1 : t + 1], powers[1 : t + 1], axes=(0, 0))
+        self.horizon = T = stationary_horizon(tol, spec.d, spec.ell)
+        # signal-only deterministic part: the profile's signal sum over lags 1..T
+        no_init = np.zeros_like(model.signal_mean)
+        self.det = deterministic_profile(model.mixing, model.signal_mean, no_init,
+                                         spec.c, spec.d, T + 1)[T + 1]
 
     def sample(self, community, rng, size=1):
         spec = self.spec
         T = self.horizon
-        q = spec.belief_dists[community].sample(rng, size=size)
-        flag = rng.random(size) < self.model.no_inbound_prob[community]
-        z = spec.signal_dists[community].sample(rng, size=size * (T + 1)).reshape(size, T + 1, spec.ell)
-        if spec.signal_belief_weight:
-            z = (1.0 - spec.signal_belief_weight) * z + spec.signal_belief_weight * q[:, None, :]
-        W = spec.d * z + spec.c * (q * flag[:, None])[:, None, :]
+        q, flag = limit_attributes(spec, self.model, community, rng, size)
+        W = limit_signals(spec, community, q, flag, T + 1, rng)
         decay = (1.0 - spec.c - spec.d) ** np.arange(T + 1)
         return np.tensordot(decay, W, axes=(0, 1)) + self.det[community]
+
+
+def limit_attributes(spec, model, community, rng, size):
+    """Belief vectors, then no-inbound flags, of size limit-side vertices."""
+    q = spec.belief_dists[community].sample(rng, size=size)
+    flag = rng.random(size) < model.no_inbound_prob[community]
+    return q, flag
+
+
+def limit_signals(spec, community, q, flag, steps, rng):
+    """External signals W = d * z + c * q * flag of limit-side vertices
+    with attributes (q, flag) over steps rounds, shaped (size, steps, ell)."""
+    z = spec.signal_dists[community].sample(rng, size=len(q) * steps).reshape(len(q), steps, spec.ell)
+    if spec.signal_belief_weight:
+        z = (1.0 - spec.signal_belief_weight) * z + spec.signal_belief_weight * q[:, None, :]
+    return spec.d * z + spec.c * (q * flag[:, None])[:, None, :]
 
 
 def sample_stationary(spec, model, community, tol, seed, size=1):

@@ -17,10 +17,11 @@ import numpy as np
 
 from . import rng as rngmod
 from .rng import substream
-from .graph import sample_graph, normalize_weights, sample_labels
-from .dynamics import OpinionState, sample_signal_frame, step
+from .graph import sample_labels
+from .dynamics import ExplicitProcess, run_graph
 from .meanfield import (
-    StationarySampler, build_meanfield_model, deterministic_profile, regime_stats,
+    StationarySampler, build_meanfield_model, deterministic_profile, limit_attributes,
+    limit_signals, regime_stats,
 )
 from .parallel import parallel_map
 
@@ -54,27 +55,22 @@ def coupled_gap_run(spec, labels, theta, k_max, seed, profile, census=None):
     labels = np.asarray(labels)
     if census is None:
         census = np.bincount(labels, minlength=spec.K)
-    graph = sample_graph(spec, labels, theta, seed)
-    influence = normalize_weights(graph)
-    init_rng = substream(seed, rngmod.INIT)
-    signal_rng = substream(seed, rngmod.SIGNALS)
-    R0 = spec.sample_initial(labels, graph.beliefs, init_rng)
-    state = OpinionState(R=R0, k=0)
-    a = 1.0 - spec.c - spec.d
-    stream = np.zeros_like(R0)
-    decay = 1.0
     inf_norms = np.zeros(k_max + 1)
     community_gaps = np.zeros((k_max + 1, spec.K))
     denom = np.maximum(census, 1)
-    for k in range(1, k_max + 1):
-        frame = sample_signal_frame(spec, graph, signal_rng)
-        state = step(state, influence, frame, spec.c, spec.d)
-        stream = a * stream + frame.W
-        decay *= a
-        approx = stream + profile[k, labels] + decay * R0
+    explicit = None
+
+    def observe(state, frame):
+        nonlocal explicit
+        if frame is None:
+            explicit = ExplicitProcess(state.R, spec.c, spec.d)
+            return
+        approx = explicit.advance(frame.W, profile[state.k, labels])
         gap = np.abs(state.R - approx).sum(axis=1)
-        community_gaps[k] = np.bincount(labels, weights=gap, minlength=spec.K) / denom
-        inf_norms[k] = gap.max()
+        community_gaps[state.k] = np.bincount(labels, weights=gap, minlength=spec.K) / denom
+        inf_norms[state.k] = gap.max()
+
+    run_graph(spec, labels, theta, k_max, seed, observe)
     return inf_norms, community_gaps
 
 
@@ -141,12 +137,9 @@ def error_experiment(spec, n_list, theta_rule, k_max, inner, outer, seed, thread
             )
             stats = regime_stats(spec, census / n, n, theta)
 
-            def unit(i, labels=labels, theta=theta, profile=profile, census=census,
-                     point_idx=point_idx, o=o):
-                return coupled_gap_run(
-                    spec, labels, theta, k_max, (seed, point_idx, o, i), profile,
-                    census=census,
-                )
+            def unit(i):
+                return coupled_gap_run(spec, labels, theta, k_max, (seed, point_idx, o, i),
+                                       profile, census=census)
 
             results = parallel_map(unit, range(reps), threads=threads)
             inf_sum = np.zeros(k_max + 1)
@@ -243,26 +236,38 @@ def parse_function(fid, ell, k):
 def limit_trajectory_draws(spec, model, profile, community, k, reps, rng):
     """Replicas of the explicit limit trajectory for one community,
     shaped (reps, ell, k+1)."""
-    q = spec.belief_dists[community].sample(rng, size=reps)
-    flag = rng.random(reps) < model.no_inbound_prob[community]
+    q, flag = limit_attributes(spec, model, community, rng, reps)
     if spec.init_dists == "beliefs":
         R0 = q.copy()
     else:
         R0 = spec.init_dists[community].sample(rng, size=reps)
-    z = spec.signal_dists[community].sample(rng, size=reps * k).reshape(reps, k, spec.ell)
-    if spec.signal_belief_weight:
-        z = (1.0 - spec.signal_belief_weight) * z + spec.signal_belief_weight * q[:, None, :]
-    W = spec.d * z + spec.c * (q * flag[:, None])[:, None, :]
-    a = 1.0 - spec.c - spec.d
-    out = np.empty((reps, spec.ell, k + 1))
-    out[:, :, 0] = R0
-    stream = np.zeros((reps, spec.ell))
-    decay = 1.0
-    for m in range(1, k + 1):
-        stream = a * stream + W[:, m - 1]
-        decay *= a
-        out[:, :, m] = stream + profile[m, community] + decay * R0
-    return out
+    W = limit_signals(spec, community, q, flag, k, rng)
+    process = ExplicitProcess(R0, spec.c, spec.d)
+    steps = [process.advance(W[:, m - 1], profile[m, community]) for m in range(1, k + 1)]
+    return np.stack([R0] + steps, axis=2)
+
+
+def _mean_se(samples):
+    """Sample mean and its standard error (0 for a single sample)."""
+    se = samples.std(ddof=1) / math.sqrt(samples.size) if samples.size > 1 else 0.0
+    return float(samples.mean()), float(se)
+
+
+def _product_row(vertices, communities, funcs, graph_samples, limit_factors):
+    """Graph estimate of a product moment against the product of the limit
+    factor means, its standard error propagated to first order."""
+    graph_est, graph_se = _mean_se(graph_samples)
+    means, ses = zip(*(_mean_se(vals) for vals in limit_factors))
+    limit_prod = float(np.prod(means))
+    var = 0.0
+    for j, s_j in enumerate(ses):
+        partial = np.prod([m for jj, m in enumerate(means) if jj != j])
+        var += (partial * s_j) ** 2
+    return {"vertices": vertices, "communities": communities,
+            "functions": tuple(f.fid for f in funcs),
+            "graph_estimate": graph_est, "graph_se": graph_se,
+            "limit_estimate": limit_prod, "limit_se": float(math.sqrt(var)),
+            "gap": abs(graph_est - limit_prod)}
 
 
 @dataclass
@@ -313,18 +318,12 @@ def chaos_experiment(spec, n, theta, k, vertex_sets, set_functions, inner, seed,
         pool_idx.append((left[:m], right[:m]))
 
     def unit(i):
-        graph = sample_graph(spec, labels, theta, (seed, 0, i))
-        influence = normalize_weights(graph)
-        init_rng = substream((seed, 0, i), rngmod.INIT)
-        signal_rng = substream((seed, 0, i), rngmod.SIGNALS)
-        R0 = spec.sample_initial(labels, graph.beliefs, init_rng)
         traj = np.empty((n, spec.ell, k + 1))
-        traj[:, :, 0] = R0
-        state = OpinionState(R=R0, k=0)
-        for m in range(1, k + 1):
-            frame = sample_signal_frame(spec, graph, signal_rng)
-            state = step(state, influence, frame, spec.c, spec.d)
-            traj[:, :, m] = state.R
+
+        def observe(state, frame):
+            traj[:, :, state.k] = state.R
+
+        run_graph(spec, labels, theta, k, (seed, 0, i), observe)
         prods = [
             float(np.prod([f(traj[v]) for v, f in zip(vs, fs)]))
             for vs, fs in zip(sets, funcs)
@@ -353,64 +352,24 @@ def chaos_experiment(spec, n, theta, k, vertex_sets, set_functions, inner, seed,
         for r in needed
     }
 
-    product_rows = []
-    for idx, (vs, fs) in enumerate(zip(sets, funcs)):
-        graph_est = float(prod_samples[:, idx].mean())
-        graph_se = float(prod_samples[:, idx].std(ddof=1) / math.sqrt(inner)) if inner > 1 else 0.0
-        limit_means, limit_ses = [], []
-        for v, f in zip(vs, fs):
-            vals = f(limit_draws[int(labels[v])])
-            limit_means.append(float(vals.mean()))
-            limit_ses.append(float(vals.std(ddof=1) / math.sqrt(limit_reps)))
-        limit_prod = float(np.prod(limit_means))
-        # first-order error propagation through the product
-        var = 0.0
-        for j, (m_j, s_j) in enumerate(zip(limit_means, limit_ses)):
-            partial = np.prod([m for jj, m in enumerate(limit_means) if jj != j])
-            var += (partial * s_j) ** 2
-        product_rows.append(
-            {
-                "vertices": tuple(int(v) for v in vs),
-                "communities": tuple(int(labels[v]) for v in vs),
-                "functions": tuple(f.fid for f in fs),
-                "graph_estimate": graph_est,
-                "graph_se": graph_se,
-                "limit_estimate": limit_prod,
-                "limit_se": float(math.sqrt(var)),
-                "gap": abs(graph_est - limit_prod),
-            }
-        )
-
-    for idx, ((r1, r2), fs) in enumerate(zip(pooled_pairs, pool_funcs)):
-        graph_est = float(pooled_samples[:, idx].mean())
-        graph_se = float(pooled_samples[:, idx].std(ddof=1) / math.sqrt(inner)) if inner > 1 else 0.0
-        m1 = fs[0](limit_draws[r1])
-        m2 = fs[1](limit_draws[r2])
-        limit_prod = float(m1.mean() * m2.mean())
-        var = (m2.mean() * m1.std(ddof=1) / math.sqrt(limit_reps)) ** 2
-        var += (m1.mean() * m2.std(ddof=1) / math.sqrt(limit_reps)) ** 2
-        product_rows.append(
-            {
-                "vertices": "pooled",
-                "communities": (int(r1), int(r2)),
-                "functions": tuple(f.fid for f in fs),
-                "graph_estimate": graph_est,
-                "graph_se": graph_se,
-                "limit_estimate": limit_prod,
-                "limit_se": float(math.sqrt(var)),
-                "gap": abs(graph_est - limit_prod),
-            }
-        )
+    product_rows = [
+        _product_row(tuple(int(v) for v in vs), tuple(int(labels[v]) for v in vs), fs,
+                     prod_samples[:, idx], [f(limit_draws[int(labels[v])]) for v, f in zip(vs, fs)])
+        for idx, (vs, fs) in enumerate(zip(sets, funcs))
+    ]
+    product_rows += [
+        _product_row("pooled", (int(r1), int(r2)), fs, pooled_samples[:, idx],
+                     [fs[0](limit_draws[r1]), fs[1](limit_draws[r2])])
+        for idx, ((r1, r2), fs) in enumerate(zip(pooled_pairs, pool_funcs))
+    ]
 
     measure_rows = []
     for fi, f in enumerate(measure_funcs):
         for r in range(spec.K):
-            samples = measure_samples[:, fi, r]
             vals = f(limit_draws[r])
             limit_est = float(spec.pi[r] * vals.mean())
             limit_se = float(spec.pi[r] * vals.std(ddof=1) / math.sqrt(limit_reps))
-            graph_est = float(samples.mean())
-            graph_se = float(samples.std(ddof=1) / math.sqrt(inner)) if inner > 1 else 0.0
+            graph_est, graph_se = _mean_se(measure_samples[:, fi, r])
             measure_rows.append(
                 {
                     "function": f.fid,
@@ -461,14 +420,7 @@ def stationarity_experiment(spec, n, theta, k_long, inner, tol, seed,
     model = build_meanfield_model(spec, n, theta, census)
 
     def unit(i):
-        graph = sample_graph(spec, labels, theta, (seed, 0, i))
-        influence = normalize_weights(graph)
-        init_rng = substream((seed, 0, i), rngmod.INIT)
-        signal_rng = substream((seed, 0, i), rngmod.SIGNALS)
-        state = OpinionState(R=spec.sample_initial(labels, graph.beliefs, init_rng), k=0)
-        for _ in range(k_long):
-            frame = sample_signal_frame(spec, graph, signal_rng)
-            state = step(state, influence, frame, spec.c, spec.d)
+        state = run_graph(spec, labels, theta, k_long, (seed, 0, i), lambda state, frame: None)
         first = np.empty((spec.K, spec.ell))
         second = np.empty((spec.K, spec.ell))
         for r in range(spec.K):
@@ -491,12 +443,8 @@ def stationarity_experiment(spec, n, theta, k_long, inner, tol, seed,
             ("second", seconds, draws**2),
         ):
             for topic in range(spec.ell):
-                g = graph_s[:, r, topic]
-                graph_est = float(g.mean())
-                graph_se = float(g.std(ddof=1) / math.sqrt(inner)) if inner > 1 else 0.0
-                s_vals = stat_vals[:, topic]
-                stat_est = float(s_vals.mean())
-                stat_se = float(s_vals.std(ddof=1) / math.sqrt(stationary_reps))
+                graph_est, graph_se = _mean_se(graph_s[:, r, topic])
+                stat_est, stat_se = _mean_se(stat_vals[:, topic])
                 rows.append(
                     {
                         "community": r,

@@ -11,11 +11,17 @@ from concurrent.futures import ThreadPoolExecutor
 ENV_THREADS = "OPINIONLAB_THREADS"
 
 
-def resolve_threads(threads=None):
-    if threads is None:
-        threads = os.environ.get(ENV_THREADS, "1")
-    threads = int(threads)
-    return max(threads, 1)
+def resolve_threads(threads=None, default=1):
+    """Worker count: threads when given, else $OPINIONLAB_THREADS when
+    set, else default.  Raises ValueError naming the source unless the
+    chosen value is a positive integer."""
+    source = "threads"
+    if threads is None and ENV_THREADS in os.environ:
+        source, threads = ENV_THREADS, os.environ[ENV_THREADS]
+    value = default if threads is None else threads
+    if not str(value).strip().isdecimal() or int(value) < 1:
+        raise ValueError(f"{source}: must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def parallel_map(fn, items, threads=1):

@@ -213,3 +213,64 @@ def test_cli_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "model_report.json").exists()
+
+
+def _run_cli(tmp_path, name, extra_cfg="", flags=()):
+    cfg_path = tmp_path / f"{name}.cfg"
+    cfg_path.write_text(make_config("error", "k_max = 2\ninner_reps = 2\n" + extra_cfg))
+    out = tmp_path / name
+    code = main(["error", "--config", str(cfg_path), "--out", str(out), *flags])
+    return code, out
+
+
+@pytest.mark.parametrize("env, flags", [
+    ("abc", ()), ("0", ()), (None, ("--threads", "0")), (None, ("--threads", "-5")),
+])
+def test_cli_rejects_bad_thread_count(tmp_path, monkeypatch, capsys, env, flags):
+    if env is None:
+        monkeypatch.delenv("OPINIONLAB_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPINIONLAB_THREADS", env)
+    code, out = _run_cli(tmp_path, "bad", flags=flags)
+    assert code == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_thread_precedence_flag_env_config(tmp_path, monkeypatch):
+    def threads_used(name, flags=()):
+        code, out = _run_cli(tmp_path, name, "threads = 3", flags)
+        assert code == EXIT_OK
+        return json.loads((out / "manifest.json").read_text())["threads"]
+
+    monkeypatch.delenv("OPINIONLAB_THREADS", raising=False)
+    assert threads_used("config") == 3
+    monkeypatch.setenv("OPINIONLAB_THREADS", "2")
+    assert threads_used("env") == 2
+    assert threads_used("flag", ("--threads", "1")) == 1
+
+
+def test_config_hash_covers_only_output_fields(tmp_path):
+    from opinionlab.harness import config_hash
+
+    base = make_config("error", "k_max = 2")
+    one = parse_config(base + "threads = 1\nout = a\n")
+    two = parse_config(base + "threads = 2\nout = b\n")
+    assert config_hash(one) == config_hash(two)
+    other_seed = parse_config(base.replace("seed = 5", "seed = 6"))
+    assert config_hash(other_seed) != config_hash(one)
+
+
+def test_negative_record_id_rejected_at_parse(tmp_path, capsys):
+    cfg_path = tmp_path / "neg.cfg"
+    cfg_path.write_text(make_config("simulate", "k_max = 2\nrecord = -1 3"))
+    assert main(["validate", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "record" in capsys.readouterr().err
+
+
+def test_record_id_not_below_n_rejected_at_run(tmp_path, capsys):
+    cfg_path = tmp_path / "big.cfg"
+    cfg_path.write_text(make_config("simulate", "k_max = 2\nrecord = 0 120"))  # n = 120
+    out = tmp_path / "big"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+    assert "record" in capsys.readouterr().err
