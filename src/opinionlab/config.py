@@ -126,7 +126,10 @@ def _flatten_json(obj, prefix=""):
 def _read_pairs(text):
     text = text.strip()
     if text.startswith("{"):
-        return _flatten_json(json.loads(text)), []
+        try:
+            return _flatten_json(json.loads(text)), []
+        except json.JSONDecodeError as exc:
+            return {}, [f"malformed JSON: {exc}"]
     pairs = {}
     problems = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -147,7 +150,8 @@ def _parse_vector_field(text):
 
 def _parse_matrix_field(text):
     rows = [r.strip() for r in text.split(";")]
-    return [[float(tok) for tok in row.split()] for row in rows if row]
+    # np.array raises ValueError on ragged rows, like float() on a bad token
+    return np.array([[float(tok) for tok in row.split()] for row in rows if row])
 
 
 def _parse_model(pairs, problems):
@@ -157,16 +161,20 @@ def _parse_model(pairs, problems):
     def bad(key, msg):
         problems.append(f"model.{key}: {msg}")
 
-    try:
-        K = int(take("K", "1"))
-    except ValueError:
-        bad("K", "not an integer")
-        K = 1
-    try:
-        ell = int(take("ell", "1"))
-    except ValueError:
-        bad("ell", "not an integer")
-        ell = 1
+    def count(key, what):
+        # a bad count is reported, then replaced by 1 to size the defaults below
+        try:
+            val = int(take(key, "1"))
+        except ValueError:
+            bad(key, "not an integer")
+            return 1
+        if val < 1:
+            bad(key, f"{what} count must be >= 1, got {val}")
+            return 1
+        return val
+
+    K = count("K", "community")
+    ell = count("ell", "topic")
 
     def number(key, default):
         txt = take(key, default)
@@ -182,7 +190,7 @@ def _parse_model(pairs, problems):
     w = number("signal_belief_weight", "0")
 
     try:
-        pi = _parse_vector_field(take("pi", " ".join(["%g" % (1.0 / K)] * K)))
+        pi = _parse_vector_field(take("pi", " ".join([repr(1.0 / K)] * K)))
     except ValueError:
         bad("pi", "malformed vector")
         pi = [1.0 / K] * K
@@ -276,16 +284,24 @@ def parse_config(text):
 
     seed = integer("seed", 0)
     out = take("out", "results")
-    try:
-        n_grid = [int(tok) for tok in take("n_grid", "1000").split()]
-    except ValueError:
-        problems.append("n_grid: malformed integer list")
-        n_grid = [1000]
+
+    def listed(key, default, parse):
+        txt = take(key, default)
+        try:
+            return parse(txt)
+        except ValueError:
+            problems.append(f"{key}: malformed list {txt!r}")
+            return parse(default)
+
+    def ints(txt):
+        return [int(tok) for tok in txt.split()]
+
+    n_grid = listed("n_grid", "1000", ints)
     if not n_grid:
         problems.append("n_grid: must not be empty")
     if any(n < 1 for n in n_grid):
         problems.append("n_grid: entries must be >= 1")
-    record = [int(tok) for tok in take("record", "0").split()]
+    record = listed("record", "0", ints)
     if any(v < 0 for v in record):
         problems.append(f"record: vertex ids must be >= 0, got {min(record)}")
 
@@ -302,11 +318,9 @@ def parse_config(text):
             problems.append(f"theta: rule {theta_rule!r} gives non-positive theta at n={n}")
             break
 
-    vertex_sets = [
-        [int(tok) for tok in part.split()]
-        for part in take("vertex_sets", "").split(";")
-        if part.strip()
-    ]
+    vertex_sets = listed(
+        "vertex_sets", "", lambda txt: [ints(part) for part in txt.split(";") if part.strip()]
+    )
     functions = [
         part.split() for part in take("functions", "").split(";") if part.strip()
     ]
@@ -327,8 +341,8 @@ def parse_config(text):
         tree_reps=integer("tree_reps", _DEFAULTS["tree_reps"], minimum=1),
         vertices_checked=integer("vertices_checked", _DEFAULTS["vertices_checked"], minimum=1),
         stationary_reps=integer("stationary_reps", _DEFAULTS["stationary_reps"], minimum=1),
-        eps_grid=[float(tok) for tok in take("eps_grid", "0.1 0.2 0.5").split()],
-        count_means=[float(tok) for tok in take("count_means", "50").split()],
+        eps_grid=listed("eps_grid", "0.1 0.2 0.5", _parse_vector_field),
+        count_means=listed("count_means", "50", _parse_vector_field),
         count_law=take("count_law", "poisson"),
         conc_weight=take("conc_weight", _DEFAULTS["conc_weight"]),
         conc_value=take("conc_value", _DEFAULTS["conc_value"]),

@@ -29,8 +29,8 @@ class GraphSample:
     """One realized dSBM with vertex marks and in-edge lists.
 
     In-edges are stored CSR-style: the sources of listener i are
-    ``sources[indptr[i]:indptr[i+1]]`` with parallel raw weights
-    ``weights[indptr[i]:indptr[i+1]]``.
+    ``sources[indptr[i]:indptr[i+1]]``, in ascending order, with parallel
+    raw weights ``weights[indptr[i]:indptr[i+1]]``.
     """
 
     n: int
@@ -141,7 +141,7 @@ def _block_pairs(rng, n_rows, n_cols, p):
             hits.append(pts)
             pos = int(pts[-1])
             batch = max(batch // 4, 16)
-        flat = np.concatenate(hits) if hits else np.empty(0, np.int64)
+        flat = np.concatenate(hits)
     return flat // n_cols, flat % n_cols
 
 
@@ -159,67 +159,51 @@ def sample_graph(spec, labels, theta, seed):
 
     idx_by_label = [np.flatnonzero(labels == r) for r in range(spec.K)]
     tgt_parts, src_parts, w_parts = [], [], []
-    for r in range(spec.K):          # listener community
-        tgt_idx = idx_by_label[r]
-        if tgt_idx.size == 0:
-            continue
-        for s in range(spec.K):      # source community
-            src_idx = idx_by_label[s]
-            if src_idx.size == 0:
-                continue
+    for r, tgt_idx in enumerate(idx_by_label):      # listener community
+        for s, src_idx in enumerate(idx_by_label):  # source community
             p = min(spec.kappa[s, r] * theta / n, 1.0)
             rows, cols = _block_pairs(edge_rng, tgt_idx.size, src_idx.size, p)
             tgt = tgt_idx[rows]
             src = src_idx[cols]
-            if r == s and tgt.size:
+            if r == s:
                 keep = tgt != src
                 tgt, src = tgt[keep], src[keep]
-            if tgt.size:
-                tgt_parts.append(tgt)
-                src_parts.append(src)
-                w_parts.append(spec.weight_dists[r][s].sample(weight_rng, size=tgt.size))
+            tgt_parts.append(tgt)
+            src_parts.append(src)
+            # an empty block draws nothing from the weight stream
+            w_parts.append(spec.weight_dists[r][s].sample(weight_rng, size=tgt.size))
 
-    if tgt_parts:
-        tgt = np.concatenate(tgt_parts)
-        src = np.concatenate(src_parts)
-        wts = np.concatenate(w_parts)
-        order = np.lexsort((src, tgt))
-        tgt, src, wts = tgt[order], src[order], wts[order]
-    else:
-        tgt = np.empty(0, np.int64)
-        src = np.empty(0, np.int64)
-        wts = np.empty(0, float)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, tgt + 1, 1)
-    indptr = np.cumsum(indptr)
-
+    # COO -> CSR sorts each listener's sources ascending; every
+    # (listener, source) cell is drawn at most once, so nothing is summed
+    in_edges = sp.csr_matrix(
+        (np.concatenate(w_parts), (np.concatenate(tgt_parts), np.concatenate(src_parts))),
+        shape=(n, n),
+    )
     beliefs = spec.sample_beliefs(labels, belief_rng)
-    no_inbound = np.diff(indptr) == 0
     return GraphSample(
         n=n, theta=float(theta), labels=labels, census=census, pi_hat=pi_hat,
-        indptr=indptr, sources=src, weights=wts, beliefs=beliefs,
-        no_inbound=no_inbound,
+        indptr=in_edges.indptr, sources=in_edges.indices, weights=in_edges.data,
+        beliefs=beliefs, no_inbound=np.diff(in_edges.indptr) == 0,
     )
 
 
 def normalize_weights(graph):
     """Listener-normalize raw weights into the row-stochastic matrix."""
     n = graph.n
-    row_tot = np.zeros(n, dtype=float)
-    np.add.at(row_tot, _row_index(graph), graph.weights)
+    rows = _row_index(graph)
+    row_tot = np.bincount(rows, weights=graph.weights, minlength=n)
     positive = row_tot > 0.0
     values = np.zeros_like(graph.weights)
-    rows = _row_index(graph)
     mask = positive[rows]
     values[mask] = graph.weights[mask] / row_tot[rows[mask]]
 
     mean_deg = graph.edge_count() / n if n else 0.0
     dense = mean_deg > DENSE_DEGREE_FRAC * n
+    # copy: eliminate_zeros works in place and must not reach the graph's arrays
+    mat = sp.csr_matrix((values, graph.sources, graph.indptr), shape=(n, n), copy=True)
     if dense:
-        mat = np.zeros((n, n), dtype=float)
-        mat[rows, graph.sources] = values
+        mat = mat.toarray()
     else:
-        mat = sp.csr_matrix((values, graph.sources, graph.indptr), shape=(n, n))
         mat.eliminate_zeros()
     return InfluenceMatrix(matrix=mat, zero_rows=~positive, dense=dense)
 

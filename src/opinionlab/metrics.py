@@ -368,7 +368,8 @@ def chaos_experiment(spec, n, theta, k, vertex_sets, set_functions, inner, seed,
         for r in range(spec.K):
             vals = f(limit_draws[r])
             limit_est = float(spec.pi[r] * vals.mean())
-            limit_se = float(spec.pi[r] * vals.std(ddof=1) / math.sqrt(limit_reps))
+            limit_se = (float(spec.pi[r] * vals.std(ddof=1) / math.sqrt(limit_reps))
+                        if limit_reps > 1 else 0.0)
             graph_est, graph_se = _mean_se(measure_samples[:, fi, r])
             measure_rows.append(
                 {

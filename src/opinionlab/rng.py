@@ -35,9 +35,3 @@ def substream(seed, *key):
     seq = np.random.SeedSequence(int(root), spawn_key=prefix + tuple(int(k) for k in key))
     return np.random.default_rng(seq)
 
-
-def as_generator(seed_or_rng):
-    """Accept either a raw seed or an existing Generator."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)

@@ -139,3 +139,10 @@ def test_nonpositive_theta_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert any("theta" in p for p in err.value.problems)
+
+
+@pytest.mark.parametrize("K", [3, 6, 7])
+def test_default_shares_are_valid(K):
+    # shares written with full precision sum to 1 within the validation tolerance
+    cfg = parse_config(f"model.K = {K}")
+    assert cfg.model.pi.tolist() == pytest.approx([1.0 / K] * K)

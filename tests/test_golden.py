@@ -11,6 +11,7 @@ import hashlib
 import pytest
 
 from opinionlab.config import parse_config
+from opinionlab.graph import normalize_weights, sample_graph, sample_labels
 from opinionlab.harness import run
 
 MODEL = """
@@ -91,3 +92,25 @@ def test_golden_digests(kind, tmp_path):
         out = tmp_path / f"t{threads}"
         run(cfg, out)
         assert output_digests(out) == DIGESTS[kind], f"{kind} at threads={threads}"
+
+
+DENSE_CONFIG = "n_grid = 60\ntheta = const:30\ninner_reps = 3\nburn_tol = 1e-3\nstationary_reps = 400"
+
+DENSE_DIGESTS = {
+    "stationarity.csv": "6550cc2cc44ae3140d884db3343eb2edffe9c72c65625f8376f5c5bfc0a2aecd",
+    "summary.json": "c87999d6018d35a4b2a2cae58c179560d9475846d66b6e659039b9ce3032066e",
+}
+
+
+def test_golden_digests_dense_influence(tmp_path):
+    """A stationary run whose graphs are all stored as dense C."""
+    cfg = parse_config(f"kind = stationary\nseed = 17\n{DENSE_CONFIG}\n{MODEL}")
+    (n,), (theta,) = cfg.n_grid, cfg.thetas()
+    labels = sample_labels(cfg.model, n, (cfg.seed, 0))
+    for i in range(cfg.inner_reps):  # seeded as stationarity_experiment seeds them
+        assert normalize_weights(sample_graph(cfg.model, labels, theta, (cfg.seed, 0, i))).dense
+    for threads in (1, 2):
+        cfg.threads = threads
+        out = tmp_path / f"t{threads}"
+        run(cfg, out)
+        assert output_digests(out) == DENSE_DIGESTS, f"dense stationary at threads={threads}"

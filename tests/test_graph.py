@@ -100,6 +100,43 @@ def test_block_pair_frequency_matches_probability():
         assert abs(count / total - p) < 4 * se
 
 
+def assert_in_edge_layout(g):
+    degrees = np.diff(g.indptr)
+    assert g.indptr[0] == 0 and np.all(degrees >= 0)
+    assert g.indptr[-1] == g.edge_count() == g.sources.size == g.weights.size
+    rows = np.repeat(np.arange(g.n), degrees)
+    # each listener's sources strictly increase, so no edge is stored twice
+    assert np.all(np.diff(g.sources)[rows[1:] == rows[:-1]] > 0)
+    assert np.all(g.sources != rows)
+    assert np.array_equal(g.no_inbound, degrees == 0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_in_edge_layout(seed):
+    spec = random_spec(seed, K=2 + seed % 2, allow_zero_rows=True)
+    labels = ol.sample_labels(spec, 120, seed)
+    for theta in (4.0, 60.0):  # geometric-skip blocks, then Bernoulli and complete ones
+        assert_in_edge_layout(ol.sample_graph(spec, labels, theta, seed))
+
+
+def test_in_edge_layout_edgeless_graph():
+    spec = one_community_spec()
+    spec.kappa = np.array([[0.0]])
+    g = ol.sample_graph(spec, ol.sample_labels(spec, 7, 3), 10.0, 3)
+    assert_in_edge_layout(g)
+    assert g.indptr.tolist() == [0] * 8
+
+
+def test_normalize_leaves_graph_arrays_alone():
+    # zero weights are dropped from C, not from the graph's in-edge lists
+    spec = one_community_spec(weight=Point(0.0))
+    g = ol.sample_graph(spec, ol.sample_labels(spec, 30, 8), 5.0, 8)
+    indptr, sources = g.indptr.copy(), g.sources.copy()
+    C = ol.normalize_weights(g)
+    assert not C.dense and C.matrix.nnz == 0
+    assert np.array_equal(g.indptr, indptr) and np.array_equal(g.sources, sources)
+
+
 def test_normalize_hand_case():
     spec = one_community_spec(weight=Uniform(0.0, 1.0))
     g = ol.GraphSample(

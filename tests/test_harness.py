@@ -274,3 +274,20 @@ def test_record_id_not_below_n_rejected_at_run(tmp_path, capsys):
     out = tmp_path / "big"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
     assert "record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, key", [
+    (make_config("simulate", "record = a"), "record"),
+    (make_config("chaos", "vertex_sets = 0 1 ; x"), "vertex_sets"),
+    (make_config("concentration", "eps_grid = 0.2 x"), "eps_grid"),
+    (make_config("concentration", "count_means = 20 y"), "count_means"),
+    ('{"kind": "error",', "malformed JSON"),
+    (make_config("error") + "model.K = 0\n", "model.K"),
+    (make_config("error") + "model.ell = 0\n", "model.ell"),
+    (make_config("error") + "model.kappa = 2 1 ; 1\n", "model.kappa"),
+])
+def test_cli_malformed_value_is_config_error(tmp_path, capsys, text, key):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    assert main(["validate", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert f"config error: {key}" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,18 @@ def test_chaos_constant_function_recovers_shares():
         assert row["graph_estimate"] == pytest.approx(shares[row["community"]])
         assert row["graph_se"] == pytest.approx(0.0, abs=1e-15)
         assert row["limit_estimate"] == pytest.approx(spec.pi[row["community"]])
+
+
+def test_chaos_single_limit_draw_has_zero_stderr():
+    # one limit draw: its standard errors are 0.0, as for one graph replication
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = ol.chaos_experiment(
+            chaos_spec(), 100, 20.0, 1, [[0]], [["proj:0,1"]], 3, 29,
+            measure_functions=["proj:0,1"], limit_reps=1,
+        )
+    assert [row["limit_se"] for row in report.measure_rows] == [0.0, 0.0]
+    assert report.product_rows[0]["limit_se"] == 0.0
 
 
 def test_chaos_factorization_gap_shrinks_with_n():
