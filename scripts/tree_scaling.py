@@ -2,7 +2,7 @@
 """Branching-tree deviation scaling: generation-sum deviations against
 theta for a single-type tree with unit point-mass weights.
 
-Usage: python scripts/tree_scaling.py [--reps N] [--seed N]
+Usage: python scripts/tree_scaling.py [--reps N] [--seed N] [--threads N]
 """
 
 import argparse
@@ -18,6 +18,8 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--reps", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads for the tree batches (output does not depend on it)")
     args = parser.parse_args()
     spec = ModelSpec(
         K=1, ell=1, pi=[1.0], kappa=[[1.0]], c=0.3, d=0.2, H=1.0,
@@ -30,7 +32,7 @@ def main():
     for theta in thetas:
         ests, ses = a_s_profile(
             spec, 0, 3, [Uniform(-1, 1)], np.array([[theta]]), np.array([[1.0]]),
-            args.reps, (args.seed, int(theta)),
+            args.reps, (args.seed, int(theta)), threads=args.threads,
         )
         table[theta] = ests
         print(f"theta={theta:5.1f}  " + "  ".join(

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .distributions import parse_scalar, parse_vector, DistributionError
+from .metrics import parse_function
 from .model import ModelSpec
 
 KINDS = ("simulate", "meanfield", "error", "chaos", "stationary", "concentration", "tree")
@@ -324,6 +325,22 @@ def parse_config(text):
     functions = [
         part.split() for part in take("functions", "").split(";") if part.strip()
     ]
+    measure_functions = take("measure_functions", "").split()
+    k = integer("k", _DEFAULTS["k"], minimum=0)
+    for key, fids in (("functions", [f for fs in functions for f in fs]),
+                      ("measure_functions", measure_functions)):
+        for fid in fids:
+            try:
+                parse_function(fid, model.ell, k)
+            except ValueError as exc:
+                problems.append(f"{key}: {exc}")
+    conc = {}
+    for key in ("conc_weight", "conc_value"):
+        conc[key] = take(key, _DEFAULTS[key])
+        try:
+            parse_scalar(conc[key])
+        except ValueError as exc:
+            problems.append(f"{key}: {exc}")
 
     cfg = ExperimentConfig(
         kind=kind, seed=seed, out=out, model=model, n_grid=n_grid, theta_rule=theta_rule,
@@ -332,10 +349,10 @@ def parse_config(text):
         threads=integer("threads", _DEFAULTS["threads"], minimum=1),
         k_max=integer("k_max", _DEFAULTS["k_max"], minimum=0),
         burn_tol=floating("burn_tol", _DEFAULTS["burn_tol"], positive=True),
-        k=integer("k", _DEFAULTS["k"], minimum=0),
+        k=k,
         vertex_sets=vertex_sets,
         functions=functions,
-        measure_functions=take("measure_functions", "").split(),
+        measure_functions=measure_functions,
         limit_reps=integer("limit_reps", _DEFAULTS["limit_reps"], minimum=1),
         depth=integer("depth", _DEFAULTS["depth"], minimum=0),
         tree_reps=integer("tree_reps", _DEFAULTS["tree_reps"], minimum=1),
@@ -344,8 +361,8 @@ def parse_config(text):
         eps_grid=listed("eps_grid", "0.1 0.2 0.5", _parse_vector_field),
         count_means=listed("count_means", "50", _parse_vector_field),
         count_law=take("count_law", "poisson"),
-        conc_weight=take("conc_weight", _DEFAULTS["conc_weight"]),
-        conc_value=take("conc_value", _DEFAULTS["conc_value"]),
+        conc_weight=conc["conc_weight"],
+        conc_value=conc["conc_value"],
         record=record,
     )
     for key in pairs:

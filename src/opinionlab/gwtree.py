@@ -8,7 +8,10 @@ per-generation weighted sums of node values estimate how far a
 normalized random sum sits from its community-matrix prediction.
 
 Trees are built level by level under a node budget, since expected
-generation size grows geometrically with depth.
+generation size grows geometrically with depth.  Monte Carlo trees are
+simulated in batches; batch i draws from jumped(i) of the tree and value
+streams, so batches run on worker threads and the output does not
+depend on the thread count.
 """
 
 from dataclasses import dataclass
@@ -18,9 +21,12 @@ import numpy as np
 from . import rng as rngmod
 from .rng import substream
 from .distributions import Point, Uniform
+from .parallel import parallel_map
 
 NODE_BUDGET = 1_000_000
 _BATCH_NODE_CAP = 20_000_000
+# leaf values drawn per run of whole parents in the deepest generation
+_LEAF_CHUNK = 1 << 18
 
 
 class TreeBudgetError(RuntimeError):
@@ -214,31 +220,36 @@ def _all_point_weights(spec):
 
 
 def generation_sum_samples(spec, root_type, q, s_max, value_dists, replications, seed,
-                           node_budget=NODE_BUDGET, batch_cap=_BATCH_NODE_CAP):
+                           node_budget=NODE_BUDGET, batch_cap=_BATCH_NODE_CAP, threads=1):
     """Path-weighted value sums for generations 1..s_max over independent
     trees, simulated level-synchronously in batches.
 
     Values at every generation are drawn fresh from the per-type laws,
-    so each column is a set of i.i.d. generation sums.  Returns an array
-    (replications, s_max).
+    so each column is a set of i.i.d. generation sums.  The batch size
+    depends only on batch_cap and the expected leaf count; batch i draws
+    from jumped(i) of the tree and value streams of seed, and batches
+    run on up to threads workers.  Returns an array (replications, s_max).
     """
+    if replications < 1:
+        raise ValueError("need at least one replication")
     q = np.asarray(q, dtype=float)
     _check_budget(q, s_max, node_budget)
-    rng = seed if isinstance(seed, np.random.Generator) else substream(seed, rngmod.TREE)
-    value_rng = substream(seed, rngmod.VALUES) if not isinstance(seed, np.random.Generator) else rng
+    tree_bits = substream(seed, rngmod.TREE).bit_generator
+    value_bits = substream(seed, rngmod.VALUES).bit_generator
     dists, _ = _value_means(value_dists, spec.K)
     point_weight = _all_point_weights(spec)
     growth = float(q.sum(axis=0).max(initial=0.0))
     expected_leaf = max(growth**s_max, 1.0)
     batch = int(np.clip(batch_cap / expected_leaf, 1, replications))
-    out = np.empty((replications, s_max))
-    done = 0
-    while done < replications:
-        b = min(batch, replications - done)
-        out[done : done + b] = _batch_sums(spec, root_type, q, s_max, dists, b, rng,
-                                           value_rng, point_weight, batch_cap)
-        done += b
-    return out
+
+    def run_batch(i):
+        b = min(batch, replications - i * batch)
+        return _batch_sums(spec, root_type, q, s_max, dists, b,
+                           np.random.Generator(tree_bits.jumped(i)),
+                           np.random.Generator(value_bits.jumped(i)), point_weight, batch_cap)
+
+    parts = parallel_map(run_batch, range(-(-replications // batch)), threads)
+    return np.concatenate(parts)
 
 
 def _draw_values(dist, rng, size):
@@ -266,6 +277,33 @@ def _segment_sums(values, per_node):
     return out
 
 
+def _leaf_segment_sums(spec, dist, per_node, rng, value_rng, point_weight):
+    """Per-parent sums of fresh leaf values (point weights) or of weight *
+    value and of weight (other weights), drawn in runs of whole parents
+    of about _LEAF_CHUNK values.  Each segment is summed alone, and a law
+    that draws value by value (any but a Mixture, which draws all its
+    component indices first) consumes its stream as one draw would, so
+    the chunk size does not change the sums."""
+    seg_x = np.zeros(per_node.size)
+    seg_w = None if point_weight is not None else np.zeros(per_node.size)
+    ends = np.cumsum(per_node)
+    lo = 0
+    while lo < per_node.size:
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, base + _LEAF_CHUNK, side="right")), lo + 1)
+        size = int(ends[hi - 1]) - base
+        counts = per_node[lo:hi]
+        values = _draw_values(dist, value_rng, size)
+        if seg_w is None:
+            seg_x[lo:hi] = _segment_sums(values, counts)
+        else:
+            weight = spec.weight_dists[0][0].sample(rng, size=size)
+            seg_x[lo:hi] = _segment_sums(weight * values, counts)
+            seg_w[lo:hi] = _segment_sums(weight, counts)
+        lo = hi
+    return seg_x, seg_w
+
+
 def _batch_sums(spec, root_type, q, s_max, dists, b, rng, value_rng, point_weight, cap):
     K = spec.K
     types = np.full(b, root_type, dtype=np.int64)
@@ -288,15 +326,12 @@ def _batch_sums(spec, root_type, q, s_max, dists, b, rng, value_rng, point_weigh
             # deepest generation: per-parent reductions, no child arrays
             if point_weight is not None and point_weight <= 0.0:
                 break
-            values = _draw_values(dists[0], value_rng, total)
-            if point_weight is not None:
-                seg = _segment_sums(values, per_node)
-                contrib = path * seg / np.maximum(per_node, 1)
+            seg_x, seg_w = _leaf_segment_sums(spec, dists[0], per_node, rng, value_rng,
+                                              point_weight)
+            if seg_w is None:
+                contrib = path * seg_x / np.maximum(per_node, 1)
             else:
-                weight = spec.weight_dists[0][0].sample(rng, size=total)
-                seg_wx = _segment_sums(weight * values, per_node)
-                seg_w = _segment_sums(weight, per_node)
-                contrib = np.where(seg_w > 0, path * seg_wx / np.where(seg_w > 0, seg_w, 1.0), 0.0)
+                contrib = np.where(seg_w > 0, path * seg_x / np.where(seg_w > 0, seg_w, 1.0), 0.0)
             sums[:, s - 1] = np.bincount(tree_id, weights=contrib, minlength=b)
             break
         parent = np.repeat(np.arange(types.size), per_node)
@@ -335,8 +370,6 @@ def estimate_a_s(spec, root_type, s, value_dists, q, mixing_emp, replications, s
                  node_budget=NODE_BUDGET):
     """Monte Carlo mean absolute deviation of the generation-s weighted
     sum from its community-matrix prediction, with standard error."""
-    if replications < 1:
-        raise ValueError("need at least one replication")
     dists, means = _value_means(value_dists, spec.K)
     target = float((np.linalg.matrix_power(mixing_emp, s) @ means)[root_type])
     sums = generation_sum_samples(spec, root_type, q, s, dists, replications, seed,
@@ -348,12 +381,12 @@ def estimate_a_s(spec, root_type, s, value_dists, q, mixing_emp, replications, s
 
 
 def a_s_profile(spec, root_type, s_max, value_dists, q, mixing_emp, replications, seed,
-                node_budget=NODE_BUDGET):
+                node_budget=NODE_BUDGET, threads=1):
     """Deviation estimates for every generation 1..s_max from one shared
     set of trees; returns (estimates, standard errors)."""
     dists, means = _value_means(value_dists, spec.K)
     sums = generation_sum_samples(spec, root_type, q, s_max, dists, replications, seed,
-                                  node_budget=node_budget)
+                                  node_budget=node_budget, threads=threads)
     ests = np.empty(s_max)
     ses = np.empty(s_max)
     power = np.eye(spec.K)

@@ -1,14 +1,17 @@
 """Experiment orchestration, CSV/JSON persistence, run manifest.
 
 For a fixed (config, seed) every output byte is reproducible except the
-manifest's timestamp and wall time.  CSVs are UTF-8, comma-separated
-with LF line endings and a header on the first line; numbers use
-Python's shortest round-trip representation.
+manifest's timestamp, wall time, thread count, cores available and peak
+RSS.  CSVs are UTF-8, comma-separated with LF line endings and a header
+on the first line; numbers use Python's shortest round-trip
+representation.
 """
 
 import dataclasses
 import hashlib
 import json
+import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -88,6 +91,8 @@ def run(cfg, out_dir=None):
         "seed": cfg.seed,
         "kind": cfg.kind,
         "threads": cfg.threads,
+        "cores_available": os.cpu_count(),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "versions": {
             "opinionlab": __version__,
             "numpy": np.__version__,
@@ -266,7 +271,7 @@ def _run_tree(cfg, out):
         for root_type in range(spec.K):
             ests, ses = a_s_profile(
                 spec, root_type, cfg.depth, value_dists, q, mixing_emp,
-                cfg.tree_reps, (cfg.seed, point_idx, root_type),
+                cfg.tree_reps, (cfg.seed, point_idx, root_type), threads=cfg.threads,
             )
             for s in range(1, cfg.depth + 1):
                 scaling_rows.append((theta, root_type, s, float(ests[s - 1]),

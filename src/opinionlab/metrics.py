@@ -209,7 +209,10 @@ def parse_function(fid, ell, k):
     clipped monomials, and the constant one."""
     parts = fid.split(":")
     kind = parts[0]
-    args = [int(tok) for tok in parts[1].split(",")] if len(parts) > 1 else []
+    try:
+        args = [int(tok) for tok in parts[1].split(",")] if len(parts) > 1 else []
+    except ValueError:
+        raise ValueError(f"malformed test function id {fid!r}") from None
     def check(topic, time):
         if not (0 <= topic < ell and 0 <= time <= k):
             raise ValueError(f"function {fid!r} indexes outside ell={ell}, k={k}")

@@ -9,6 +9,12 @@ root seed or a tuple ``(root, *indices)``; they append their purpose
 constant themselves.  Two calls with the same root and key yield
 bit-identical streams, so graphs, weights, beliefs and signals are
 independently reproducible.
+
+Monte Carlo trees are the one place that splits a stream: batch i of a
+tree run draws from ``bit_generator.jumped(i)`` of its TREE and VALUES
+streams.  ``jumped(0)`` is the stream itself, and the batch partition
+does not depend on the thread count, so batches run in parallel with
+the same output as in sequence.
 """
 
 import numpy as np

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import opinionlab as ol
+from opinionlab import gwtree
 from opinionlab.distributions import Point, Uniform, VectorDist
 from opinionlab.gwtree import GWTree, TreeBudgetError, TreeLevel, _empty_level
 from opinionlab.model import ModelSpec
@@ -198,6 +199,59 @@ def test_general_weights_match_point_mass_shortcut_in_distribution():
     e1, s1 = ol.estimate_a_s(spec_point, 0, 2, [Uniform(-1, 1)], q, np.array([[1.0]]), 4000, 31)
     e2, s2 = ol.estimate_a_s(spec_unif, 0, 2, [Uniform(-1, 1)], q, np.array([[1.0]]), 4000, 37)
     assert abs(e1 - e2) < 5 * np.hypot(s1, s2) + 5e-3
+
+
+def batched_case(name):
+    """(spec, q, values, batch_cap, batch) with batch_cap small enough that
+    40 trees of depth 3 take five batches of `batch` trees."""
+    if name == "k1_point":
+        spec, q = one_type_spec(), np.array([[6.0]])
+    elif name == "k1_uniform":
+        spec, q = one_type_spec(weight=Uniform(0.0, 1.0)), np.array([[2.5]])
+    else:
+        spec = random_spec(4, K=2)
+        q = ol.offspring_means(spec, spec.pi, 4.0)
+    values = [dist.components[0] for dist in spec.belief_dists]
+    leaf = float(q.sum(axis=0).max()) ** 3
+    return spec, q, values, 8 * leaf, 8
+
+
+BATCHED = ["k1_point", "k1_uniform", "k2"]
+
+
+@pytest.mark.parametrize("name", BATCHED)
+def test_generation_sums_same_bytes_at_any_thread_count(name):
+    spec, q, values, cap, _ = batched_case(name)
+    one = gwtree.generation_sum_samples(spec, 0, q, 3, values, 40, 11, batch_cap=cap)
+    two = gwtree.generation_sum_samples(spec, 0, q, 3, values, 40, 11, batch_cap=cap,
+                                        threads=2)
+    assert one.shape == (40, 3)
+    assert one.tobytes() == two.tobytes()
+
+
+@pytest.mark.parametrize("name", BATCHED)
+def test_first_batch_is_the_unbatched_stream(name):
+    # batch 0 draws from jumped(0), the base tree and value streams
+    spec, q, values, cap, batch = batched_case(name)
+    many = gwtree.generation_sum_samples(spec, 0, q, 3, values, 40, 12, batch_cap=cap)
+    first = gwtree.generation_sum_samples(spec, 0, q, 3, values, batch, 12, batch_cap=cap)
+    assert many[:batch].tobytes() == first.tobytes()
+    assert not np.array_equal(many[batch : 2 * batch], first)
+
+
+@pytest.mark.parametrize("name", BATCHED)
+def test_leaf_chunk_size_leaves_sums_unchanged(name, monkeypatch):
+    spec, q, values, cap, _ = batched_case(name)
+    whole = gwtree.generation_sum_samples(spec, 0, q, 3, values, 40, 13, batch_cap=cap)
+    monkeypatch.setattr(gwtree, "_LEAF_CHUNK", 5)
+    chunked = gwtree.generation_sum_samples(spec, 0, q, 3, values, 40, 13, batch_cap=cap)
+    assert whole.tobytes() == chunked.tobytes()
+
+
+def test_profile_needs_a_replication():
+    with pytest.raises(ValueError, match="replication"):
+        ol.a_s_profile(one_type_spec(), 0, 2, [Uniform(-1, 1)], np.array([[3.0]]),
+                       np.array([[1.0]]), 0, 1)
 
 
 @given(st.integers(min_value=0, max_value=5_000))

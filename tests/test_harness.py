@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,8 @@ def test_cli_runs_experiment_with_overrides(tmp_path):
     assert manifest["seed"] == 11
     assert manifest["kind"] == "error"
     assert "error_curve.csv" in manifest["outputs"]
+    assert manifest["cores_available"] == os.cpu_count()
+    assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
 
 
 def test_cli_command_selects_kind(tmp_path):
@@ -285,6 +288,10 @@ def test_record_id_not_below_n_rejected_at_run(tmp_path, capsys):
     (make_config("error") + "model.K = 0\n", "model.K"),
     (make_config("error") + "model.ell = 0\n", "model.ell"),
     (make_config("error") + "model.kappa = 2 1 ; 1\n", "model.kappa"),
+    (make_config("chaos", "vertex_sets = 0 1\nfunctions = proj:a"), "functions"),
+    (make_config("chaos", "measure_functions = foo"), "measure_functions"),
+    (make_config("concentration", "conc_weight = bogus"), "conc_weight"),
+    (make_config("concentration", "conc_value = nope"), "conc_value"),
 ])
 def test_cli_malformed_value_is_config_error(tmp_path, capsys, text, key):
     cfg_path = tmp_path / "bad.cfg"
