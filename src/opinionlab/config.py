@@ -41,6 +41,8 @@ from .model import ModelSpec
 KINDS = ("simulate", "meanfield", "error", "chaos", "stationary", "concentration", "tree")
 
 THETA_RULES = ("const", "log", "loglog", "pow", "linear")
+# the chaos kind's vertex sets when the config lists none
+DEFAULT_VERTEX_SETS = [[0]]
 
 
 class ConfigError(ValueError):
@@ -327,6 +329,14 @@ def parse_config(text):
     ]
     measure_functions = take("measure_functions", "").split()
     k = integer("k", _DEFAULTS["k"], minimum=0)
+    if functions:
+        sets = vertex_sets or DEFAULT_VERTEX_SETS
+        if len(functions) != len(sets):
+            problems.append(f"functions: {len(functions)} rows for {len(sets)} vertex sets; "
+                            "give one row per set")
+        for i, (vs, fids) in enumerate(zip(sets, functions)):
+            if len(fids) != len(vs):
+                problems.append(f"functions: row {i} has {len(fids)} ids for {len(vs)} vertices")
     for key, fids in (("functions", [f for fs in functions for f in fs]),
                       ("measure_functions", measure_functions)):
         for fid in fids:

@@ -3,8 +3,8 @@
 For a fixed (config, seed) every output byte is reproducible except the
 manifest's timestamp, wall time, thread count, cores available and peak
 RSS.  CSVs are UTF-8, comma-separated with LF line endings and a header
-on the first line; numbers use Python's shortest round-trip
-representation.
+on the first line; a field holding a comma or a quote is quoted as RFC
+4180 does; numbers use Python's shortest round-trip representation.
 """
 
 import dataclasses
@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from . import rng as rngmod
 from .rng import substream
-from .config import ConfigError, serialize_config, theta_value
+from .config import DEFAULT_VERTEX_SETS, ConfigError, serialize_config, theta_value
 from .distributions import parse_scalar
 from .graph import sample_graph, sample_labels
 from .dynamics import run_graph
@@ -51,11 +51,20 @@ def _fmt(value):
     return str(value)
 
 
+def _csv_field(value):
+    """A field as RFC 4180 writes it: quoted, with inner quotes doubled,
+    when it holds a comma or a quote (function ids such as proj:0,3)."""
+    text = _fmt(value)
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(_csv_field(v) for v in row) + "\n")
 
 
 def config_hash(cfg):
@@ -172,7 +181,7 @@ def _run_error(cfg, out):
 def _run_chaos(cfg, out):
     n = cfg.n_grid[0]
     theta = theta_value(cfg.theta_rule, n)
-    vertex_sets = cfg.vertex_sets or [[0]]
+    vertex_sets = cfg.vertex_sets or DEFAULT_VERTEX_SETS
     functions = cfg.functions or [["proj:0,%d" % cfg.k] * len(vs) for vs in vertex_sets]
     report = chaos_experiment(
         cfg.model, n, theta, cfg.k, vertex_sets, functions, cfg.inner_reps, cfg.seed,

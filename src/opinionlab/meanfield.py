@@ -27,6 +27,8 @@ from .rng import substream
 from .dynamics import ExplicitProcess, hop_weight_table
 
 _DENSE_ORACLE_MAX_N = 4000
+# signal values per streamed block of the stationary sampler
+_SIGNAL_CHUNK = 1 << 18
 
 
 def mixing_matrix(shares, kappa, beta):
@@ -246,6 +248,14 @@ class StationarySampler:
     and adds the deterministic community term assembled from mixing
     powers.  The horizon comes from the explicit geometric tail bound,
     never a fixed constant.
+
+    sample() streams: topic by topic, it takes the draws in runs of about
+    _SIGNAL_CHUNK signal values, draws those signals and reduces them
+    against the decay vector at once, so its working memory is a few
+    runs whatever the draw count and horizon.  Topic j's values come
+    from one continued stream, in the order a single size * (T+1) draw
+    would give them, so chunking changes no byte for the point, uniform
+    and beta laws; a mix: law draws its component indices per chunk.
     """
 
     def __init__(self, spec, model, tol):
@@ -260,11 +270,30 @@ class StationarySampler:
 
     def sample(self, community, rng, size=1):
         spec = self.spec
-        T = self.horizon
+        steps = self.horizon + 1
         q, flag = limit_attributes(spec, self.model, community, rng, size)
-        W = limit_signals(spec, community, q, flag, T + 1, rng)
-        decay = (1.0 - spec.c - spec.d) ** np.arange(T + 1)
-        return np.tensordot(decay, W, axes=(0, 1)) + self.det[community]
+        decay = (1.0 - spec.c - spec.d) ** np.arange(steps)
+        rows = max(_SIGNAL_CHUNK // steps, 1)
+        out = np.empty((size, spec.ell))
+        for j in range(spec.ell):
+            for lo in range(0, size, rows):
+                W = limit_signal_block(spec, community, q[lo:lo + rows], flag[lo:lo + rows],
+                                       j, steps, rng)
+                out[lo:lo + rows, j] = _decayed_sum(decay, W)
+        return out + self.det[community]
+
+
+def _decayed_sum(decay, W):
+    """Row sums of decay[t] * W[:, t] as one BLAS matrix-vector product
+    over a C-contiguous (steps, columns) copy of W.  The column count is
+    padded with zeros to a multiple of 4, because OpenBLAS sends the
+    last (columns mod 4) columns through a remainder path that rounds
+    differently; padded, every draw takes the same path, so the sums do
+    not depend on the chunk size or the BLAS thread count."""
+    rows, steps = W.shape
+    block = np.zeros((steps, -(-rows // 4) * 4))
+    block[:, :rows] = W.T
+    return np.dot(decay, block)[:rows]
 
 
 def limit_attributes(spec, model, community, rng, size):
@@ -274,13 +303,17 @@ def limit_attributes(spec, model, community, rng, size):
     return q, flag
 
 
-def limit_signals(spec, community, q, flag, steps, rng):
-    """External signals W = d * z + c * q * flag of limit-side vertices
-    with attributes (q, flag) over steps rounds, shaped (size, steps, ell)."""
-    z = spec.signal_dists[community].sample(rng, size=len(q) * steps).reshape(len(q), steps, spec.ell)
+def limit_signal_block(spec, community, q, flag, topic, steps, rng):
+    """One topic of the external signals W = d * z + c * q * flag of
+    limit-side vertices with attributes (q, flag) over steps rounds,
+    shaped (len(q), steps).  Successive calls for one topic continue its
+    value stream row by row."""
+    dist = spec.signal_dists[community].components[topic]
+    z = dist.sample(rng, size=len(q) * steps).reshape(len(q), steps)
+    q_topic = q[:, topic, None]
     if spec.signal_belief_weight:
-        z = (1.0 - spec.signal_belief_weight) * z + spec.signal_belief_weight * q[:, None, :]
-    return spec.d * z + spec.c * (q * flag[:, None])[:, None, :]
+        z = (1.0 - spec.signal_belief_weight) * z + spec.signal_belief_weight * q_topic
+    return spec.d * z + spec.c * (q_topic * flag[:, None])
 
 
 def sample_stationary(spec, model, community, tol, seed, size=1):

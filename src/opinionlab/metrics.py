@@ -21,7 +21,7 @@ from .graph import sample_labels
 from .dynamics import ExplicitProcess, run_graph
 from .meanfield import (
     StationarySampler, build_meanfield_model, deterministic_profile, limit_attributes,
-    limit_signals, regime_stats,
+    limit_signal_block, regime_stats,
 )
 from .parallel import parallel_map
 
@@ -244,7 +244,9 @@ def limit_trajectory_draws(spec, model, profile, community, k, reps, rng):
         R0 = q.copy()
     else:
         R0 = spec.init_dists[community].sample(rng, size=reps)
-    W = limit_signals(spec, community, q, flag, k, rng)
+    W = np.empty((reps, k, spec.ell))
+    for j in range(spec.ell):
+        W[:, :, j] = limit_signal_block(spec, community, q, flag, j, k, rng)
     process = ExplicitProcess(R0, spec.c, spec.d)
     steps = [process.advance(W[:, m - 1], profile[m, community]) for m in range(1, k + 1)]
     return np.stack([R0] + steps, axis=2)
@@ -304,6 +306,8 @@ def chaos_experiment(spec, n, theta, k, vertex_sets, set_functions, inner, seed,
     )
     sets = [np.asarray(vs, dtype=np.int64) for vs in vertex_sets]
     funcs = [[parse_function(fid, spec.ell, k) for fid in fids] for fids in set_functions]
+    if len(sets) != len(funcs):
+        raise ValueError("each vertex set needs one row of test functions")
     for vs, fs in zip(sets, funcs):
         if len(vs) != len(fs):
             raise ValueError("each vertex needs exactly one test function")

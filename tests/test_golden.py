@@ -46,7 +46,7 @@ CONFIGS = {
 
 DIGESTS = {
     "chaos": {
-        "chaos.csv": "3e4cf9897c1e5891490e479d6c07549a7f6f0a15ed1546e76b407787395379c5",
+        "chaos.csv": "4878e264bfc5c5a0ee37ed1b2a8ebafef52874f1245dd5ecf5dbc4448dd7b55d",
         "summary.json": "0079390ae00ef36b6802f85cb931f12b0e22b69eab0a80e646a3eb8b61138d8e",
     },
     "concentration": {

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -132,6 +133,25 @@ def test_chaos_run(tmp_path):
     assert lines[0].startswith("n,k,statistic")
     kinds = {line.split(",")[2] for line in lines[1:]}
     assert kinds == {"product", "measure"}
+
+
+def test_chaos_csv_rows_have_header_width(tmp_path):
+    """Function ids hold commas; quoted, each stays in one CSV field."""
+    cfg = parse_config(
+        make_config(
+            "chaos",
+            "k = 2\nvertex_sets = 0 1 ; 2\nfunctions = proj:0,2 prod:0,1,0,2 ; proj:0,1\n"
+            "measure_functions = proj:0,2 one\nlimit_reps = 50",
+        )
+    )
+    run(cfg, tmp_path)
+    with open(tmp_path / "chaos.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(rows) == 2 + 2 * 2  # two product rows, two functions x two communities
+    assert all(len(row) == len(header) for row in rows)
+    functions = [row[header.index("functions")] for row in rows]
+    assert functions[:2] == ["proj:0,2 prod:0,1,0,2", "proj:0,1"]
+    assert set(functions[2:]) == {"proj:0,2", "one"}
 
 
 def test_error_smoke_run_under_budget(tmp_path):
@@ -290,6 +310,11 @@ def test_record_id_not_below_n_rejected_at_run(tmp_path, capsys):
     (make_config("error") + "model.kappa = 2 1 ; 1\n", "model.kappa"),
     (make_config("chaos", "vertex_sets = 0 1\nfunctions = proj:a"), "functions"),
     (make_config("chaos", "measure_functions = foo"), "measure_functions"),
+    (make_config("chaos", "vertex_sets = 0 1 ; 2 3\nfunctions = proj:0,1 proj:0,1"), "functions"),
+    (make_config("chaos", "vertex_sets = 0 1\nfunctions = proj:0,1 ; proj:0,1 proj:0,1"),
+     "functions"),
+    (make_config("chaos", "vertex_sets = 0 1\nfunctions = proj:0,1"), "functions"),
+    (make_config("chaos", "functions = proj:0,1 proj:0,1"), "functions"),
     (make_config("concentration", "conc_weight = bogus"), "conc_weight"),
     (make_config("concentration", "conc_value = nope"), "conc_value"),
 ])

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import opinionlab as ol
-from opinionlab.distributions import Point, Uniform, VectorDist
+from opinionlab import meanfield
+from opinionlab.distributions import Point, ScaledBeta, Uniform, VectorDist
 from opinionlab.meanfield import (
     build_meanfield_model, deterministic_profile, expand_rows,
     intermediate_trajectory, meanfield_trajectory, mixing_matrix,
@@ -364,6 +366,85 @@ def test_stationary_samples_bounded_and_seeded():
     b = sampler.sample(0, np.random.default_rng(9), size=50)
     assert np.array_equal(a, b)
     assert np.all(np.abs(a) <= 1.0 + 1e-9)
+
+
+SIGNAL_LAWS = {
+    "uniform": lambda r, j: Uniform(-0.4 + 0.1 * r, 0.2 + 0.1 * j),
+    "beta": lambda r, j: ScaledBeta(1.5 + j, 2.0 + r, -0.5, 0.5),
+    "point": lambda r, j: Point(0.1 * (j - r)),
+}
+
+
+def streamed_sampler(law, tol=1e-6):
+    """K = 2, ell = 3, signal_belief_weight = 0.25, one signal law family."""
+    spec = ModelSpec(
+        K=2, ell=3, pi=[0.4, 0.6], kappa=[[2.0, 0.5], [1.0, 1.5]], c=0.3, d=0.25, H=1.0,
+        weight_dists=[[Uniform(0.2, 1.0), Point(0.5)], [Point(0.7), Uniform(0.1, 0.9)]],
+        belief_dists=[VectorDist((Uniform(-1.0, 1.0), Point(0.3), Uniform(-0.5, 0.5)))] * 2,
+        signal_dists=[VectorDist(tuple(SIGNAL_LAWS[law](r, j) for j in range(3))) for r in range(2)],
+        signal_belief_weight=0.25,
+    )
+    return StationarySampler(spec, build_meanfield_model(spec, 100, 12.0, np.array([40, 60])), tol)
+
+
+def one_shot_stationary(sampler, community, rng, size):
+    """The unstreamed sampler: every signal of every draw in one
+    (size, T+1, ell) array, reduced by one tensordot."""
+    spec, T = sampler.spec, sampler.horizon
+    q = spec.belief_dists[community].sample(rng, size=size)
+    flag = rng.random(size) < sampler.model.no_inbound_prob[community]
+    z = spec.signal_dists[community].sample(rng, size=size * (T + 1)).reshape(size, T + 1, spec.ell)
+    z = (1.0 - spec.signal_belief_weight) * z + spec.signal_belief_weight * q[:, None, :]
+    W = spec.d * z + spec.c * (q * flag[:, None])[:, None, :]
+    decay = (1.0 - spec.c - spec.d) ** np.arange(T + 1)
+    return np.tensordot(decay, W, axes=(0, 1)) + sampler.det[community]
+
+
+@pytest.mark.parametrize("law", sorted(SIGNAL_LAWS))
+def test_streamed_stationary_matches_one_shot(law, monkeypatch):
+    # 400 draws x 3 topics is a multiple of 4 (also per BLAS thread), so
+    # tensordot sends every value through OpenBLAS's main gemv path, the
+    # one the streamed sampler's padded blocks always take
+    sampler = streamed_sampler(law)
+    for r in range(2):
+        ref = one_shot_stationary(sampler, r, np.random.default_rng(11), 400)
+        for chunk in (meanfield._SIGNAL_CHUNK, 7, 1000, 2**40):
+            monkeypatch.setattr(meanfield, "_SIGNAL_CHUNK", chunk)
+            out = sampler.sample(r, np.random.default_rng(11), size=400)
+            assert out.tobytes() == ref.tobytes(), (law, r, chunk)
+
+
+@pytest.mark.parametrize("law", sorted(SIGNAL_LAWS))
+def test_streamed_stationary_chunk_invariant_at_any_size(law, monkeypatch):
+    # at 401 draws tensordot rounds its last 401 * 3 mod 4 values on the
+    # remainder path, so it only agrees to rounding; the streamed bytes
+    # still do not depend on the chunk size
+    sampler = streamed_sampler(law)
+    ref = one_shot_stationary(sampler, 1, np.random.default_rng(4), 401)
+    outs = []
+    for chunk in (7, 1000, 2**40):
+        monkeypatch.setattr(meanfield, "_SIGNAL_CHUNK", chunk)
+        outs.append(sampler.sample(1, np.random.default_rng(4), size=401).tobytes())
+    assert outs[0] == outs[1] == outs[2]
+    assert np.allclose(np.frombuffer(outs[0]).reshape(401, 3), ref, rtol=0.0, atol=1e-14)
+
+
+def test_streamed_stationary_memory_is_bounded():
+    spec = ModelSpec(
+        K=1, ell=4, pi=[1.0], kappa=[[1.0]], c=0.3, d=0.1, H=1.0,
+        weight_dists=[[Point(1.0)]], belief_dists=[VectorDist((Uniform(-1.0, 1.0),) * 4)],
+        signal_dists=[VectorDist((Uniform(-0.5, 0.5),) * 4)],
+    )
+    sampler = StationarySampler(spec, build_meanfield_model(spec, 2000, 600.0, np.array([2000])), 1e-6)
+    assert sampler.horizon == 167
+    tracemalloc.start()
+    try:
+        sampler.sample(0, np.random.default_rng(1), size=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole signal tensor would be 20000 * 168 * 4 * 8 B = 107.5 MB
+    assert peak < 32 * 2**20
 
 
 def test_regime_stats_point_mass_weights():
