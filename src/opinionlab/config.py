@@ -351,6 +351,9 @@ def parse_config(text):
             parse_scalar(conc[key])
         except ValueError as exc:
             problems.append(f"{key}: {exc}")
+    count_law = take("count_law", _DEFAULTS["count_law"])
+    if count_law != "poisson":
+        problems.append(f"count_law: only 'poisson' is wired through the config, got {count_law!r}")
 
     cfg = ExperimentConfig(
         kind=kind, seed=seed, out=out, model=model, n_grid=n_grid, theta_rule=theta_rule,
@@ -370,7 +373,7 @@ def parse_config(text):
         stationary_reps=integer("stationary_reps", _DEFAULTS["stationary_reps"], minimum=1),
         eps_grid=listed("eps_grid", "0.1 0.2 0.5", _parse_vector_field),
         count_means=listed("count_means", "50", _parse_vector_field),
-        count_law=take("count_law", "poisson"),
+        count_law=count_law,
         conc_weight=conc["conc_weight"],
         conc_value=conc["conc_value"],
         record=record,

@@ -11,7 +11,7 @@ over the whole candidate grid; sparser blocks skip through the
 flattened grid with geometric gaps, for O(#edges) expected cost.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,7 +20,6 @@ from . import rng as rngmod
 from .rng import substream
 
 DENSE_P = 0.25          # per-block sampler switch
-DENSE_DEGREE_FRAC = 0.25  # store C densely when mean in-degree > n/4
 ROW_SUM_TOL = 1e-12
 
 
@@ -53,11 +52,17 @@ class GraphSample:
 
 @dataclass
 class InfluenceMatrix:
-    """Row-stochastic listening weights; rows with no positive weight are zero."""
+    """Row-stochastic listening weights; rows with no positive weight are zero.
 
-    matrix: object          # scipy CSR or dense ndarray
+    ``normalize_weights`` always stores ``matrix`` as scipy CSR: its
+    product with a dense block is a serial loop, so the output bytes do
+    not depend on the BLAS thread count.  ``dense`` is accepted and
+    ignored, for callers that still pass a hand-built ndarray.
+    """
+
+    matrix: object          # scipy CSR (or a caller's ndarray)
     zero_rows: np.ndarray   # bool per listener
-    dense: bool
+    dense: InitVar[bool] = False
 
     @property
     def n(self):
@@ -69,16 +74,6 @@ class InfluenceMatrix:
 
     def row_sums(self):
         return np.asarray(self.matrix.sum(axis=1)).ravel()
-
-    def inf_norm(self):
-        if self.dense:
-            return float(np.abs(self.matrix).sum(axis=1).max(initial=0.0))
-        return float(np.abs(self.matrix).sum(axis=1).max()) if self.matrix.shape[0] else 0.0
-
-    def toarray(self):
-        if self.dense:
-            return self.matrix
-        return self.matrix.toarray()
 
 
 def empirical_shares(labels, K):
@@ -197,15 +192,10 @@ def normalize_weights(graph):
     mask = positive[rows]
     values[mask] = graph.weights[mask] / row_tot[rows[mask]]
 
-    mean_deg = graph.edge_count() / n if n else 0.0
-    dense = mean_deg > DENSE_DEGREE_FRAC * n
     # copy: eliminate_zeros works in place and must not reach the graph's arrays
     mat = sp.csr_matrix((values, graph.sources, graph.indptr), shape=(n, n), copy=True)
-    if dense:
-        mat = mat.toarray()
-    else:
-        mat.eliminate_zeros()
-    return InfluenceMatrix(matrix=mat, zero_rows=~positive, dense=dense)
+    mat.eliminate_zeros()
+    return InfluenceMatrix(matrix=mat, zero_rows=~positive)
 
 
 def _row_index(graph):

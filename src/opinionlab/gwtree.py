@@ -370,14 +370,9 @@ def estimate_a_s(spec, root_type, s, value_dists, q, mixing_emp, replications, s
                  node_budget=NODE_BUDGET):
     """Monte Carlo mean absolute deviation of the generation-s weighted
     sum from its community-matrix prediction, with standard error."""
-    dists, means = _value_means(value_dists, spec.K)
-    target = float((np.linalg.matrix_power(mixing_emp, s) @ means)[root_type])
-    sums = generation_sum_samples(spec, root_type, q, s, dists, replications, seed,
-                                  node_budget=node_budget)
-    devs = np.abs(sums[:, s - 1] - target)
-    est = float(devs.mean())
-    se = float(devs.std(ddof=1) / np.sqrt(replications)) if replications > 1 else 0.0
-    return est, se
+    ests, ses = a_s_profile(spec, root_type, s, value_dists, q, mixing_emp, replications, seed,
+                            node_budget=node_budget)
+    return float(ests[s - 1]), float(ses[s - 1])
 
 
 def a_s_profile(spec, root_type, s_max, value_dists, q, mixing_emp, replications, seed,

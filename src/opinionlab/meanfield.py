@@ -31,14 +31,16 @@ _DENSE_ORACLE_MAX_N = 4000
 _SIGNAL_CHUNK = 1 << 18
 
 
+def _listening_mass(moment, shares, kappa):
+    """Expected listening mass by (listener r, source s):
+    ``shares[s] * moment[r, s] * kappa[s, r]``."""
+    return np.asarray(shares, dtype=float) * moment * np.asarray(kappa).T
+
+
 def mixing_matrix(shares, kappa, beta):
     """Row-normalized expected-influence matrix; rows with zero total
     stay identically zero (legal: communities with no inbound mass)."""
-    shares = np.asarray(shares, dtype=float)
-    K = shares.size
-    raw = np.empty((K, K))
-    for r in range(K):
-        raw[r] = shares * beta[r] * kappa[:, r]
+    raw = _listening_mass(beta, shares, kappa)
     totals = raw.sum(axis=1)
     out = np.zeros_like(raw)
     pos = totals > 0.0
@@ -58,11 +60,9 @@ def vertex_mixing_matrix(labels, shares, kappa, beta):
     n = labels.size
     if n > _DENSE_ORACLE_MAX_N:
         raise ValueError(f"dense averaged matrix is a small-n oracle (n <= {_DENSE_ORACLE_MAX_N})")
-    shares = np.asarray(shares, dtype=float)
-    K = shares.size
-    totals = np.array([(shares * beta[r] * kappa[:, r]).sum() for r in range(K)])
+    totals = _listening_mass(beta, shares, kappa).sum(axis=1)
     out = np.zeros((n, n))
-    for r in range(K):
+    for r in range(totals.size):
         rows = labels == r
         if totals[r] <= 0 or not rows.any():
             continue
@@ -207,9 +207,9 @@ def regime_stats(spec, pi_hat, n, theta):
     beta = spec.weight_mean_matrix()
     v = spec.weight_second_moment_matrix()
     pi_hat = np.asarray(pi_hat, dtype=float)
-    mu = np.array([(beta[r] * pi_hat * spec.kappa[:, r]).sum() for r in range(spec.K)])
-    nu = np.array([(v[r] * pi_hat * spec.kappa[:, r]).sum() for r in range(spec.K)])
-    limit_totals = np.array([(beta[r] * spec.pi * spec.kappa[:, r]).sum() for r in range(spec.K)])
+    mu = _listening_mass(beta, pi_hat, spec.kappa).sum(axis=1)
+    nu = _listening_mass(v, pi_hat, spec.kappa).sum(axis=1)
+    limit_totals = _listening_mass(beta, spec.pi, spec.kappa).sum(axis=1)
     nonzero = limit_totals > 0.0
     mismatch = share_mismatch(spec.pi, pi_hat)
     if not nonzero.any():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import opinionlab as ol
@@ -14,9 +15,9 @@ from opinionlab.rng import INIT, substream
 from conftest import random_spec
 
 
-def dense_influence(mat):
-    mat = np.asarray(mat, dtype=float)
-    return InfluenceMatrix(matrix=mat, zero_rows=mat.sum(axis=1) == 0, dense=True)
+def csr_influence(mat):
+    mat = sp.csr_matrix(np.asarray(mat, dtype=float))
+    return InfluenceMatrix(matrix=mat, zero_rows=np.asarray(mat.sum(axis=1)).ravel() == 0)
 
 
 cd_pairs = st.tuples(
@@ -107,7 +108,7 @@ def test_signal_frame_per_step_streams():
 
 
 def test_step_hand_case():
-    C = dense_influence([[0.0, 1.0], [1.0, 0.0]])
+    C = csr_influence([[0.0, 1.0], [1.0, 0.0]])
     state = OpinionState(R=np.array([[1.0], [-1.0]]), k=0)
     frame = SignalFrame(W=np.zeros((2, 1)), Z=np.zeros((2, 1)))
     out = ol.step(state, C, frame, 0.5, 0.5)
@@ -116,7 +117,7 @@ def test_step_hand_case():
 
 
 def test_step_no_network_when_c_zero():
-    C = dense_influence(np.eye(3))
+    C = csr_influence(np.eye(3))
     R = np.array([[0.5], [-0.25], [0.0]])
     frame = SignalFrame(W=np.full((3, 1), 0.1), Z=None)
     out = ol.step(OpinionState(R=R, k=0), C, frame, 0.0, 0.2)
@@ -125,7 +126,7 @@ def test_step_no_network_when_c_zero():
 
 def test_step_fixed_point_under_consensus():
     r = 0.37
-    C = dense_influence([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+    C = csr_influence([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
     R = np.full((3, 2), r)
     # signals consistent with the consensus value: Z = r, no isolated vertices
     frame = SignalFrame(W=np.full((3, 2), 0.2 * r), Z=None)
@@ -134,7 +135,7 @@ def test_step_fixed_point_under_consensus():
 
 
 def test_step_shape_errors():
-    C = dense_influence(np.eye(2))
+    C = csr_influence(np.eye(2))
     state = OpinionState(R=np.zeros((2, 1)), k=0)
     with pytest.raises(ValueError):
         ol.step(state, C, SignalFrame(W=np.zeros((3, 1)), Z=None), 0.3, 0.2)
@@ -144,7 +145,7 @@ def test_step_shape_errors():
 
 
 def test_step_bound_escape_raises():
-    C = dense_influence(np.eye(1))
+    C = csr_influence(np.eye(1))
     state = OpinionState(R=np.array([[1.0]]), k=0)
     bad = SignalFrame(W=np.array([[1.0]]), Z=None)  # inconsistent with the model ranges
     with pytest.raises(RuntimeError):

@@ -7,12 +7,18 @@ output bytes updates these constants and says why in CHANGES.md.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from opinionlab.config import parse_config
-from opinionlab.graph import normalize_weights, sample_graph, sample_labels
+from opinionlab.graph import DENSE_P
 from opinionlab.harness import run
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 MODEL = """
 model.K = 2
@@ -94,23 +100,59 @@ def test_golden_digests(kind, tmp_path):
         assert output_digests(out) == DIGESTS[kind], f"{kind} at threads={threads}"
 
 
-DENSE_CONFIG = "n_grid = 60\ntheta = const:30\ninner_reps = 3\nburn_tol = 1e-3\nstationary_reps = 400"
+HIGH_DEGREE_CONFIG = (
+    "n_grid = 60\ntheta = const:30\ninner_reps = 3\nburn_tol = 1e-3\nstationary_reps = 400"
+)
 
-DENSE_DIGESTS = {
-    "stationarity.csv": "6550cc2cc44ae3140d884db3343eb2edffe9c72c65625f8376f5c5bfc0a2aecd",
-    "summary.json": "c87999d6018d35a4b2a2cae58c179560d9475846d66b6e659039b9ce3032066e",
+HIGH_DEGREE_DIGESTS = {
+    "stationarity.csv": "b1215b430dbee58051f3602347aa3eebff181a8374ac3f27ad7accd5ba897cb6",
+    "summary.json": "d7d2d89106089b12b58ca86d0346f84c11697366f7986d46ac5dc236e253b945",
 }
 
 
-def test_golden_digests_dense_influence(tmp_path):
-    """A stationary run whose graphs are all stored as dense C."""
-    cfg = parse_config(f"kind = stationary\nseed = 17\n{DENSE_CONFIG}\n{MODEL}")
+def test_golden_digests_high_degree_stationary(tmp_path):
+    """A stationary run whose edge blocks all take the Bernoulli branch
+    (mean in-degree about 0.6 n)."""
+    cfg = parse_config(f"kind = stationary\nseed = 17\n{HIGH_DEGREE_CONFIG}\n{MODEL}")
     (n,), (theta,) = cfg.n_grid, cfg.thetas()
-    labels = sample_labels(cfg.model, n, (cfg.seed, 0))
-    for i in range(cfg.inner_reps):  # seeded as stationarity_experiment seeds them
-        assert normalize_weights(sample_graph(cfg.model, labels, theta, (cfg.seed, 0, i))).dense
+    assert cfg.model.kappa.min() * theta / n >= DENSE_P
     for threads in (1, 2):
         cfg.threads = threads
         out = tmp_path / f"t{threads}"
         run(cfg, out)
-        assert output_digests(out) == DENSE_DIGESTS, f"dense stationary at threads={threads}"
+        assert output_digests(out) == HIGH_DEGREE_DIGESTS, f"high degree at threads={threads}"
+
+
+BLAS_CONFIG = """\
+kind = stationary
+seed = 1
+n_grid = 2000
+theta = const:600
+inner_reps = 1
+stationary_reps = 200
+burn_tol = 1e-4
+model.K = 1
+model.ell = 4
+model.c = 0.3
+model.d = 0.1
+"""
+
+
+def test_stationary_bytes_ignore_blas_threads(tmp_path):
+    """Mean in-degree 600 of 2000: the densest workload's graph product
+    must give the same bytes under one and two BLAS threads."""
+    cfg_path = tmp_path / "blas.cfg"
+    cfg_path.write_text(BLAS_CONFIG)
+    digests = []
+    for blas in ("1", "2"):
+        out = tmp_path / f"blas{blas}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                   PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "opinionlab.cli", "stationary", "--config", str(cfg_path),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(output_digests(out)["stationarity.csv"])
+    assert digests[0] == digests[1]

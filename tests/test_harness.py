@@ -317,6 +317,7 @@ def test_record_id_not_below_n_rejected_at_run(tmp_path, capsys):
     (make_config("chaos", "functions = proj:0,1 proj:0,1"), "functions"),
     (make_config("concentration", "conc_weight = bogus"), "conc_weight"),
     (make_config("concentration", "conc_value = nope"), "conc_value"),
+    (make_config("concentration", "count_law = binomial"), "count_law"),
 ])
 def test_cli_malformed_value_is_config_error(tmp_path, capsys, text, key):
     cfg_path = tmp_path / "bad.cfg"

@@ -256,7 +256,7 @@ def test_influence_block_sums_concentrate_on_mixing_rows():
     count = np.zeros((2, 1))
     for rep in range(reps):
         g = ol.sample_graph(spec, labels, theta, (1, rep))
-        C = ol.normalize_weights(g).toarray()
+        C = ol.normalize_weights(g).matrix.toarray()
         for r in range(2):
             rows = C[labels == r]
             for s in range(2):
