@@ -6,9 +6,10 @@ Subcommands mirror the experiment kinds (simulate, meanfield, error,
 chaos, stationary, concentration, tree); `validate` parses the config
 and reports every violation.  Flags override the corresponding config
 keys; the thread count comes from --threads, else OPINIONLAB_THREADS,
-else the config.  Exit codes: 0 success, 2 config error (also a thread
-count that is not a positive integer, or a `record` vertex id that is
-negative or not below n), 3 runtime/budget error.
+else the config.  Exit codes: 0 success, 2 config error (also a
+negative --seed, a thread count that is not a positive integer, or a
+`record` vertex id that is negative or not below n), 3 runtime/budget
+error.
 """
 
 import argparse
@@ -50,6 +51,9 @@ def main(argv=None):
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
 
+    if args.seed is not None and args.seed < 0:
+        print(f"config error: seed: must be >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.command == "validate":
         print("config ok")
         return EXIT_OK

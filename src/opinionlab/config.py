@@ -69,7 +69,10 @@ def theta_value(rule, n):
     if kind == "loglog":
         return x * math.log(math.log(n))
     if kind == "pow":
-        return float(n) ** x
+        try:
+            return float(n) ** x
+        except OverflowError:
+            raise ConfigError(f"theta: {rule!r} overflows at n={n}") from None
     return x * n
 
 
@@ -281,11 +284,13 @@ def parse_config(text):
         except ValueError:
             problems.append(f"{key}: not a number: {txt!r}")
             return default
-        if positive and val <= 0:
+        if not math.isfinite(val):
+            problems.append(f"{key}: must be finite, got {txt!r}")
+        elif positive and val <= 0:
             problems.append(f"{key}: must be positive, got {val}")
         return val
 
-    seed = integer("seed", 0)
+    seed = integer("seed", 0, minimum=0)
     out = take("out", "results")
 
     def listed(key, default, parse):
@@ -317,8 +322,9 @@ def parse_config(text):
         except ConfigError as exc:
             problems.extend(exc.problems)
             break
-        if not theta > 0:
-            problems.append(f"theta: rule {theta_rule!r} gives non-positive theta at n={n}")
+        if not 0 < theta < math.inf:
+            problems.append(f"theta: rule {theta_rule!r} gives theta={theta} at n={n}; "
+                            "need a finite positive value")
             break
 
     vertex_sets = listed(
@@ -351,6 +357,11 @@ def parse_config(text):
             parse_scalar(conc[key])
         except ValueError as exc:
             problems.append(f"{key}: {exc}")
+    eps_grid = listed("eps_grid", "0.1 0.2 0.5", _parse_vector_field)
+    count_means = listed("count_means", "50", _parse_vector_field)
+    for key, vals in (("eps_grid", eps_grid), ("count_means", count_means)):
+        if not all(0 < v < math.inf for v in vals):
+            problems.append(f"{key}: entries must be finite and positive")
     count_law = take("count_law", _DEFAULTS["count_law"])
     if count_law != "poisson":
         problems.append(f"count_law: only 'poisson' is wired through the config, got {count_law!r}")
@@ -367,12 +378,12 @@ def parse_config(text):
         functions=functions,
         measure_functions=measure_functions,
         limit_reps=integer("limit_reps", _DEFAULTS["limit_reps"], minimum=1),
-        depth=integer("depth", _DEFAULTS["depth"], minimum=0),
+        depth=integer("depth", _DEFAULTS["depth"], minimum=1),
         tree_reps=integer("tree_reps", _DEFAULTS["tree_reps"], minimum=1),
         vertices_checked=integer("vertices_checked", _DEFAULTS["vertices_checked"], minimum=1),
         stationary_reps=integer("stationary_reps", _DEFAULTS["stationary_reps"], minimum=1),
-        eps_grid=listed("eps_grid", "0.1 0.2 0.5", _parse_vector_field),
-        count_means=listed("count_means", "50", _parse_vector_field),
+        eps_grid=eps_grid,
+        count_means=count_means,
         count_law=count_law,
         conc_weight=conc["conc_weight"],
         conc_value=conc["conc_value"],

@@ -7,8 +7,13 @@ listener-normalized weights form the row-stochastic influence matrix.
 
 Edge sampling is blocked by (listener community, source community).
 Blocks with edge probability >= DENSE_P run vectorized Bernoulli draws
-over the whole candidate grid; sparser blocks skip through the
-flattened grid with geometric gaps, for O(#edges) expected cost.
+over the candidate grid, about CHUNK cells at a time; sparser blocks
+skip through the flattened grid with geometric gaps (Batagelj & Brandes,
+Phys. Rev. E 71, 2005), for O(#edges) expected cost.  A block is kept as
+per-listener hit counts and int32 sources.  The in-degrees then fix the
+CSR layout, and each listener community's K runs are merged by one
+stable argsort and scattered into place.  C shares the graph's index
+arrays, so graph plus C hold 12 + 8 bytes per edge.
 """
 
 from dataclasses import InitVar, dataclass
@@ -20,7 +25,7 @@ from . import rng as rngmod
 from .rng import substream
 
 DENSE_P = 0.25          # per-block sampler switch
-ROW_SUM_TOL = 1e-12
+CHUNK = 1 << 16         # grid cells per Bernoulli draw, edges per CSR scatter step
 
 
 @dataclass
@@ -56,8 +61,11 @@ class InfluenceMatrix:
 
     ``normalize_weights`` always stores ``matrix`` as scipy CSR: its
     product with a dense block is a serial loop, so the output bytes do
-    not depend on the BLAS thread count.  ``dense`` is accepted and
-    ignored, for callers that still pass a hand-built ndarray.
+    not depend on the BLAS thread count.  When every weight is positive
+    the CSR's ``indices`` and ``indptr`` are the graph's own ``sources``
+    and ``indptr`` arrays, not copies: neither side may change them in
+    place.  ``dense`` is accepted and ignored, for callers that still
+    pass a hand-built ndarray.
     """
 
     matrix: object          # scipy CSR (or a caller's ndarray)
@@ -112,14 +120,18 @@ def _apportion(pi, n):
 
 
 def _block_pairs(rng, n_rows, n_cols, p):
-    """Indices of Bernoulli(p) hits on an n_rows x n_cols grid."""
+    """Indices of Bernoulli(p) hits on an n_rows x n_cols grid, in
+    row-major order."""
     if p <= 0.0 or n_rows == 0 or n_cols == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
     total = n_rows * n_cols
     if p >= 1.0:
         flat = np.arange(total, dtype=np.int64)
     elif p >= DENSE_P:
-        flat = np.flatnonzero(rng.random(total) < p).astype(np.int64)
+        # the stream of one rng.random(total), drawn a few whole rows at a time
+        step = max(CHUNK // n_cols, 1) * n_cols
+        flat = np.concatenate([np.flatnonzero(rng.random(min(step, total - a)) < p) + a
+                               for a in range(0, total, step)])
     else:
         # geometric skipping over the flattened grid
         hits = []
@@ -127,17 +139,31 @@ def _block_pairs(rng, n_rows, n_cols, p):
         expect = p * total
         batch = max(int(expect + 6.0 * np.sqrt(expect) + 16), 16)
         while True:
-            gaps = rng.geometric(p, size=batch)
-            pts = pos + np.cumsum(gaps)
-            inside = pts < total
-            if not inside.all():
-                hits.append(pts[inside])
+            pts = rng.geometric(p, size=batch)
+            np.cumsum(pts, out=pts)
+            pts += pos
+            cut = int(np.searchsorted(pts, total))
+            hits.append(pts[:cut])
+            if cut < batch:
                 break
-            hits.append(pts)
             pos = int(pts[-1])
             batch = max(batch // 4, 16)
-        flat = np.concatenate(hits)
-    return flat // n_cols, flat % n_cols
+        flat = hits[0] if len(hits) == 1 else np.concatenate(hits)
+    # numpy divides by a scalar much faster than it takes % or divmod
+    rows = flat // n_cols
+    cols = rows * n_cols
+    np.subtract(flat, cols, out=cols)
+    return rows, cols
+
+
+def _block_run(rng, tgt_idx, src_idx, p, diagonal):
+    """One block's hits as per-listener counts and int32 global sources."""
+    rows, cols = _block_pairs(rng, tgt_idx.size, src_idx.size, p)
+    if diagonal:  # tgt_idx[i] == src_idx[j] iff i == j
+        keep = rows != cols
+        rows = rows[keep]
+        cols = cols[keep]
+    return np.bincount(rows, minlength=tgt_idx.size), src_idx[cols]
 
 
 def sample_graph(spec, labels, theta, seed):
@@ -152,61 +178,83 @@ def sample_graph(spec, labels, theta, seed):
     weight_rng = substream(seed, rngmod.WEIGHTS)
     belief_rng = substream(seed, rngmod.BELIEFS)
 
-    idx_by_label = [np.flatnonzero(labels == r) for r in range(spec.K)]
-    tgt_parts, src_parts, w_parts = [], [], []
+    idx_by_label = [np.flatnonzero(labels == r).astype(np.int32) for r in range(spec.K)]
+    runs = [[] for _ in range(spec.K)]  # per listener community: (hits per listener, sources)
+    degree = np.zeros(n, dtype=np.int64)
     for r, tgt_idx in enumerate(idx_by_label):      # listener community
         for s, src_idx in enumerate(idx_by_label):  # source community
             p = min(spec.kappa[s, r] * theta / n, 1.0)
-            rows, cols = _block_pairs(edge_rng, tgt_idx.size, src_idx.size, p)
-            tgt = tgt_idx[rows]
-            src = src_idx[cols]
-            if r == s:
-                keep = tgt != src
-                tgt, src = tgt[keep], src[keep]
-            tgt_parts.append(tgt)
-            src_parts.append(src)
-            # an empty block draws nothing from the weight stream
-            w_parts.append(spec.weight_dists[r][s].sample(weight_rng, size=tgt.size))
+            counts, src = _block_run(edge_rng, tgt_idx, src_idx, p, r == s)
+            degree[tgt_idx] += counts
+            runs[r].append((counts, src))
 
-    # COO -> CSR sorts each listener's sources ascending; every
-    # (listener, source) cell is drawn at most once, so nothing is summed
-    in_edges = sp.csr_matrix(
-        (np.concatenate(w_parts), (np.concatenate(tgt_parts), np.concatenate(src_parts))),
-        shape=(n, n),
-    )
+    m = int(degree.sum())
+    indptr = np.concatenate(([0], np.cumsum(degree))).astype(np.int32 if m < 2**31 else np.int64)
+    if spec.K == 1:  # the one run is in CSR order already
+        sources = runs[0][0][1]
+        weights = spec.weight_dists[0][0].sample(weight_rng, size=m)
+    else:
+        sources = np.empty(m, dtype=np.int32)
+        weights = np.empty(m)
+        for r, tgt_idx in enumerate(idx_by_label):
+            _place_community(runs[r], spec.weight_dists[r], weight_rng, tgt_idx, indptr,
+                             sources, weights)
     beliefs = spec.sample_beliefs(labels, belief_rng)
     return GraphSample(
         n=n, theta=float(theta), labels=labels, census=census, pi_hat=pi_hat,
-        indptr=in_edges.indptr, sources=in_edges.indices, weights=in_edges.data,
-        beliefs=beliefs, no_inbound=np.diff(in_edges.indptr) == 0,
+        indptr=indptr, sources=sources, weights=weights,
+        beliefs=beliefs, no_inbound=degree == 0,
     )
 
 
+def _place_community(blocks, weight_dists, weight_rng, tgt_idx, indptr, sources, weights):
+    """Merge one listener community's runs by (listener, source) into the
+    graph's CSR slots, with their weights; empties ``blocks``.
+
+    Each run is sorted by that key already, so one stable argsort is a
+    K-way merge; keys are unique, since a cell is drawn at most once.
+    """
+    n = indptr.size - 1
+    local_deg = sum(counts for counts, _ in blocks)
+    sizes = [src.size for _, src in blocks]
+    key = np.concatenate([np.repeat(np.arange(tgt_idx.size) * n, counts) + src
+                          for counts, src in blocks])
+    blocks.clear()
+    order = np.argsort(key, kind="stable")
+    # an empty block draws nothing from the weight stream
+    draws = np.concatenate([w.sample(weight_rng, size=k) for w, k in zip(weight_dists, sizes)])
+    # CSR slot of merged edge j: j + offset[its local listener]
+    offset = indptr[tgt_idx] - (np.cumsum(local_deg) - local_deg)
+    for a in range(0, key.size, CHUNK):
+        idx = order[a:a + CHUNK]
+        row = key[idx] // n
+        slot = offset[row] + np.arange(a, a + idx.size)
+        sources[slot] = key[idx] - row * n
+        weights[slot] = draws[idx]
+
+
 def normalize_weights(graph):
-    """Listener-normalize raw weights into the row-stochastic matrix."""
+    """Listener-normalize raw weights into the row-stochastic matrix, on
+    the graph's own index arrays unless a zero value must be dropped."""
     n = graph.n
-    rows = _row_index(graph)
-    row_tot = np.bincount(rows, weights=graph.weights, minlength=n)
+    degrees = graph.in_degrees()
+    row_tot = np.bincount(np.repeat(np.arange(n), degrees), weights=graph.weights, minlength=n)
     positive = row_tot > 0.0
-    values = np.zeros_like(graph.weights)
-    mask = positive[rows]
-    values[mask] = graph.weights[mask] / row_tot[rows[mask]]
-
-    # copy: eliminate_zeros works in place and must not reach the graph's arrays
-    mat = sp.csr_matrix((values, graph.sources, graph.indptr), shape=(n, n), copy=True)
-    mat.eliminate_zeros()
+    # weights are >= 0, so a row without positive total holds only zeros
+    values = graph.weights / np.repeat(np.where(positive, row_tot, np.inf), degrees)
+    if values.all():
+        mat = sp.csr_matrix((values, graph.sources, graph.indptr), shape=(n, n))
+    else:  # eliminate_zeros works in place, so it gets copies
+        mat = sp.csr_matrix((values, graph.sources.copy(), graph.indptr.copy()), shape=(n, n))
+        mat.eliminate_zeros()
     return InfluenceMatrix(matrix=mat, zero_rows=~positive)
-
-
-def _row_index(graph):
-    return np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(graph.indptr))
 
 
 def write_graph(graph, path):
     """Text dump: header ``n K``, one vertex line ``i J_i q_1 ... q_ell``
     per vertex, then one edge line ``i j B_ij`` per stored in-edge."""
     K = graph.pi_hat.size
-    rows = _row_index(graph)
+    rows = np.repeat(np.arange(graph.n), graph.in_degrees())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{graph.n} {K}\n")
         for i in range(graph.n):

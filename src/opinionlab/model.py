@@ -81,6 +81,9 @@ class ModelSpec:
             problems.append("K: community count must be >= 1")
         if self.ell < 1:
             problems.append("ell: topic count must be >= 1")
+        for name in ("pi", "kappa", "c", "d", "H", "signal_belief_weight"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                problems.append(f"{name}: must be finite")
         if self.pi.shape != (self.K,):
             problems.append(f"pi: expected length {self.K}, got shape {self.pi.shape}")
         else:

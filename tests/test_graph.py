@@ -1,11 +1,15 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import opinionlab as ol
+from opinionlab import dynamics
 from opinionlab.distributions import Point, Uniform, VectorDist
-from opinionlab.graph import DENSE_P, _block_pairs
+from opinionlab.graph import CHUNK, DENSE_P, _block_pairs
 from opinionlab.model import ModelSpec
 
 from conftest import random_spec
@@ -99,6 +103,69 @@ def test_block_pair_frequency_matches_probability():
         total = reps * rows * cols
         se = np.sqrt(p * (1 - p) / total)
         assert abs(count / total - p) < 4 * se
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [
+    (3, 7),                       # below one chunk
+    (512, CHUNK // 512),          # exactly one chunk
+    (700, 600),                   # a few chunks, the last one short
+    (3, CHUNK + 5),               # rows wider than a chunk
+])
+def test_bernoulli_branch_matches_one_shot_draw(n_rows, n_cols):
+    p = 0.4
+    assert p >= DENSE_P
+    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    rows, cols = _block_pairs(rng, n_rows, n_cols, p)
+    flat = np.flatnonzero(ref_rng.random(n_rows * n_cols) < p)
+    assert np.array_equal(rows, flat // n_cols) and np.array_equal(cols, flat % n_cols)
+    assert rng.random() == ref_rng.random()  # the same stream, consumed to the same point
+
+
+def test_build_peak_bytes_per_edge():
+    # the error_sparse model at n = 2e5, theta = 2 e^2 loglog n: about 7.4 M edges
+    n = 200_000
+    spec = ModelSpec(
+        K=2, ell=1, pi=[0.5, 0.5], kappa=[[1.5, 0.5], [0.5, 1.5]], c=0.3, d=0.2, H=1.0,
+        weight_dists=[[Uniform(0.2, 1.0)] * 2] * 2,
+        belief_dists=[VectorDist((Uniform(-1, 1),))] * 2,
+        signal_dists=[VectorDist((Uniform(-1, 1),))] * 2,
+    )
+    labels = ol.sample_labels(spec, n, 1)
+    theta = 2.0 * math.e**2 * math.log(math.log(n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = ol.sample_graph(spec, labels, theta, 1)
+        C = ol.normalize_weights(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert C.matrix.nnz == g.edge_count() > 7_000_000
+    assert peak / g.edge_count() <= 40.0
+
+
+def test_influence_shares_graph_index_arrays(monkeypatch):
+    spec = random_spec(3, K=2)
+    spec.weight_dists = [[Uniform(0.2 * spec.H, spec.H)] * 2] * 2  # every weight positive
+    labels = ol.sample_labels(spec, 300, 3)
+    g = ol.sample_graph(spec, labels, 12.0, 3)
+    C = ol.normalize_weights(g)
+    assert np.shares_memory(C.matrix.indices, g.sources)
+    assert np.shares_memory(C.matrix.indptr, g.indptr)
+
+    # a full run neither sorts nor prunes the shared arrays
+    kept = []
+
+    def sample_and_keep(*args):
+        graph = ol.sample_graph(*args)
+        kept.append((graph, graph.indptr.copy(), graph.sources.copy(), graph.weights.copy()))
+        return graph
+
+    monkeypatch.setattr(dynamics, "sample_graph", sample_and_keep)
+    dynamics.run_graph(spec, labels, 12.0, 5, 3, lambda state, frame: None)
+    graph, indptr, sources, weights = kept[0]
+    assert np.array_equal(graph.indptr, indptr) and np.array_equal(graph.sources, sources)
+    assert np.array_equal(graph.weights, weights)
 
 
 def assert_in_edge_layout(g):

@@ -318,9 +318,29 @@ def test_record_id_not_below_n_rejected_at_run(tmp_path, capsys):
     (make_config("concentration", "conc_weight = bogus"), "conc_weight"),
     (make_config("concentration", "conc_value = nope"), "conc_value"),
     (make_config("concentration", "count_law = binomial"), "count_law"),
+    (make_config("stationary", "burn_tol = nan"), "burn_tol"),
+    (make_config("stationary", "burn_tol = inf"), "burn_tol"),
+    (make_config("error").replace("const:10", "const:inf"), "theta"),
+    (make_config("error").replace("const:10", "pow:1e10"), "theta"),
+    (make_config("error").replace("seed = 5", "seed = -1"), "seed"),
+    (make_config("tree", "depth = 0"), "depth"),
+    (make_config("error") + "model.c = nan\n", "model.c"),
+    (make_config("error") + "model.kappa = 2 inf ; 1 2\n", "model.kappa"),
+    (make_config("concentration", "eps_grid = 0.2 nan"), "eps_grid"),
+    (make_config("concentration", "count_means = inf"), "count_means"),
 ])
 def test_cli_malformed_value_is_config_error(tmp_path, capsys, text, key):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(text)
     assert main(["validate", "--config", str(cfg_path)]) == EXIT_CONFIG
     assert f"config error: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "error"])
+def test_cli_negative_seed_flag_is_config_error(tmp_path, capsys, command):
+    cfg_path = tmp_path / "ok.cfg"
+    cfg_path.write_text(make_config("error", "k_max = 2"))
+    argv = [command, "--config", str(cfg_path), "--seed", "-1", "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error: seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
