@@ -8,8 +8,8 @@ and reports every violation.  Flags override the corresponding config
 keys; the thread count comes from --threads, else OPINIONLAB_THREADS,
 else the config.  Exit codes: 0 success, 2 config error (also a
 negative --seed, a thread count that is not a positive integer, or a
-`record` vertex id that is negative or not below n), 3 runtime/budget
-error.
+`record` or `vertex_sets` id that is negative or not below the first
+n), 3 runtime/budget error.
 """
 
 import argparse

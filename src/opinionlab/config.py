@@ -238,7 +238,10 @@ def _parse_model(pairs, problems):
     beliefs = dist_list("beliefs", "uniform:-1,1")
     signals = dist_list("signals", "uniform:-1,1")
     init = dist_list("init", "uniform:-1,1")
-    fixed = take("fixed_composition", "false").lower() in ("true", "1", "yes")
+    flag = take("fixed_composition", "false")
+    fixed = flag.lower() in ("true", "1", "yes")
+    if not fixed and flag.lower() not in ("false", "0", "no"):
+        bad("fixed_composition", f"not a boolean: {flag!r}; use true/false, 1/0 or yes/no")
 
     spec = ModelSpec(
         K=K, ell=ell, pi=np.asarray(pi), kappa=np.asarray(kappa), c=c, d=d, H=H,
@@ -310,8 +313,6 @@ def parse_config(text):
     if any(n < 1 for n in n_grid):
         problems.append("n_grid: entries must be >= 1")
     record = listed("record", "0", ints)
-    if any(v < 0 for v in record):
-        problems.append(f"record: vertex ids must be >= 0, got {min(record)}")
 
     theta_rule = take("theta", "log:1")
     for n in n_grid:
@@ -330,6 +331,12 @@ def parse_config(text):
     vertex_sets = listed(
         "vertex_sets", "", lambda txt: [ints(part) for part in txt.split(";") if part.strip()]
     )
+    # simulate records and chaos samples vertices of the first graph size
+    for key, ids in (("record", record), ("vertex_sets", [v for vs in vertex_sets for v in vs])):
+        if any(v < 0 for v in ids):
+            problems.append(f"{key}: vertex ids must be >= 0, got {min(ids)}")
+        elif n_grid and any(v >= n_grid[0] for v in ids):
+            problems.append(f"{key}: vertex ids must be below n = {n_grid[0]}, got {max(ids)}")
     functions = [
         part.split() for part in take("functions", "").split(";") if part.strip()
     ]

@@ -7,13 +7,22 @@ listener-normalized weights form the row-stochastic influence matrix.
 
 Edge sampling is blocked by (listener community, source community).
 Blocks with edge probability >= DENSE_P run vectorized Bernoulli draws
-over the candidate grid, about CHUNK cells at a time; sparser blocks
-skip through the flattened grid with geometric gaps (Batagelj & Brandes,
-Phys. Rev. E 71, 2005), for O(#edges) expected cost.  A block is kept as
-per-listener hit counts and int32 sources.  The in-degrees then fix the
-CSR layout, and each listener community's K runs are merged by one
-stable argsort and scattered into place.  C shares the graph's index
-arrays, so graph plus C hold 12 + 8 bytes per edge.
+over the candidate grid; sparser blocks skip through the flattened grid
+with geometric gaps (Batagelj & Brandes, Phys. Rev. E 71, 2005), for
+O(#edges) expected cost.  A block is kept as per-listener hit counts and
+int32 sources.  The in-degrees then fix the CSR layout, and each
+listener community's K runs are merged and scattered into place.  C
+shares the graph's index arrays, so graph plus C hold 12 + 8 bytes per
+edge.
+
+Every pass over cells, draws or edges works on pieces of about CHUNK
+(row-aligned runs from ``_row_runs``, or sub-draws of one geometric
+batch), so no temporary grows with the edge count.  Building the graph
+and C peaks at about 22 B per edge above what was allocated before
+(tracemalloc; two communities at n = 2e5, 7.4 M edges: the merge holds
+the runs, the final arrays and one listener community's weight draws)
+and about 21 B per edge with one community (n = 2e5 geometric, or
+n = 2000 Bernoulli: the normalization holds the graph and C's values).
 """
 
 from dataclasses import InitVar, dataclass
@@ -119,36 +128,55 @@ def _apportion(pi, n):
     return counts
 
 
-def _block_pairs(rng, n_rows, n_cols, p):
-    """Indices of Bernoulli(p) hits on an n_rows x n_cols grid, in
-    row-major order."""
+def _row_runs(bounds):
+    """Split rows into consecutive runs of about CHUNK items.
+
+    ``bounds`` holds the cumulative item count per row (length rows + 1).
+    Yields (r0, r1, a, b): rows r0..r1-1 hold items a..b-1.  A row with
+    more than CHUNK items is a run of its own.
+    """
+    r0 = 0
+    while r0 < bounds.size - 1:
+        a = int(bounds[r0])
+        r1 = max(int(np.searchsorted(bounds, a + CHUNK, side="right")) - 1, r0 + 1)
+        yield r0, r1, a, int(bounds[r1])
+        r0 = r1
+
+
+def _block_pieces(rng, n_rows, n_cols, p):
+    """Bernoulli(p) hits on an n_rows x n_cols grid as (rows, cols) in
+    row-major order, one piece per row run of about CHUNK cells or per
+    sub-draw of at most CHUNK geometric gaps."""
     if p <= 0.0 or n_rows == 0 or n_cols == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
+        return
     total = n_rows * n_cols
-    if p >= 1.0:
-        flat = np.arange(total, dtype=np.int64)
-    elif p >= DENSE_P:
+    if p >= DENSE_P:
         # the stream of one rng.random(total), drawn a few whole rows at a time
-        step = max(CHUNK // n_cols, 1) * n_cols
-        flat = np.concatenate([np.flatnonzero(rng.random(min(step, total - a)) < p) + a
-                               for a in range(0, total, step)])
+        for _, _, a, b in _row_runs(np.arange(n_rows + 1, dtype=np.int64) * n_cols):
+            flat = np.arange(a, b) if p >= 1.0 else np.flatnonzero(rng.random(b - a) < p) + a
+            yield _grid_cells(flat, n_cols)
     else:
-        # geometric skipping over the flattened grid
-        hits = []
-        pos = -1
+        # geometric skipping over the flattened grid; each batch is drawn in
+        # pieces of at most CHUNK, which leaves the stream where one draw would
+        pos, done = -1, False
         expect = p * total
         batch = max(int(expect + 6.0 * np.sqrt(expect) + 16), 16)
-        while True:
-            pts = rng.geometric(p, size=batch)
-            np.cumsum(pts, out=pts)
-            pts += pos
-            cut = int(np.searchsorted(pts, total))
-            hits.append(pts[:cut])
-            if cut < batch:
-                break
-            pos = int(pts[-1])
+        while not done:
+            for a in range(0, batch, CHUNK):
+                pts = rng.geometric(p, size=min(CHUNK, batch - a))
+                if done:  # past the grid: the rest of the batch is drawn and dropped
+                    continue
+                np.cumsum(pts, out=pts)
+                pts += pos
+                cut = int(np.searchsorted(pts, total))
+                yield _grid_cells(pts[:cut], n_cols)
+                done = cut < pts.size
+                pos = int(pts[-1])
             batch = max(batch // 4, 16)
-        flat = hits[0] if len(hits) == 1 else np.concatenate(hits)
+
+
+def _grid_cells(flat, n_cols):
+    """Row-major flat indices as (rows, cols)."""
     # numpy divides by a scalar much faster than it takes % or divmod
     rows = flat // n_cols
     cols = rows * n_cols
@@ -156,14 +184,28 @@ def _block_pairs(rng, n_rows, n_cols, p):
     return rows, cols
 
 
+def _block_pairs(rng, n_rows, n_cols, p):
+    """Indices of Bernoulli(p) hits on an n_rows x n_cols grid, in
+    row-major order."""
+    pieces = list(_block_pieces(rng, n_rows, n_cols, p))
+    if not pieces:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    return tuple(np.concatenate(part) for part in zip(*pieces))
+
+
 def _block_run(rng, tgt_idx, src_idx, p, diagonal):
     """One block's hits as per-listener counts and int32 global sources."""
-    rows, cols = _block_pairs(rng, tgt_idx.size, src_idx.size, p)
-    if diagonal:  # tgt_idx[i] == src_idx[j] iff i == j
-        keep = rows != cols
-        rows = rows[keep]
-        cols = cols[keep]
-    return np.bincount(rows, minlength=tgt_idx.size), src_idx[cols]
+    counts = np.zeros(tgt_idx.size, dtype=np.int64)
+    sources = [np.empty(0, np.int32)]
+    for rows, cols in _block_pieces(rng, tgt_idx.size, src_idx.size, p):
+        if diagonal:  # tgt_idx[i] == src_idx[j] iff i == j
+            keep = rows != cols
+            rows = rows[keep]
+            cols = cols[keep]
+        if rows.size:  # rows ascend
+            counts[rows[0]:rows[-1] + 1] += np.bincount(rows - rows[0])
+        sources.append(src_idx[cols])
+    return counts, np.concatenate(sources)
 
 
 def sample_graph(spec, labels, theta, seed):
@@ -211,26 +253,27 @@ def _place_community(blocks, weight_dists, weight_rng, tgt_idx, indptr, sources,
     """Merge one listener community's runs by (listener, source) into the
     graph's CSR slots, with their weights; empties ``blocks``.
 
-    Each run is sorted by that key already, so one stable argsort is a
-    K-way merge; keys are unique, since a cell is drawn at most once.
+    Each run is sorted by that key already, so a stable argsort of one
+    row range's keys from every run is a K-way merge of those rows; keys
+    are unique, since a cell is drawn at most once.
     """
     n = indptr.size - 1
-    local_deg = sum(counts for counts, _ in blocks)
-    sizes = [src.size for _, src in blocks]
-    key = np.concatenate([np.repeat(np.arange(tgt_idx.size) * n, counts) + src
-                          for counts, src in blocks])
-    blocks.clear()
-    order = np.argsort(key, kind="stable")
     # an empty block draws nothing from the weight stream
-    draws = np.concatenate([w.sample(weight_rng, size=k) for w, k in zip(weight_dists, sizes)])
+    draws = [w.sample(weight_rng, size=src.size) for w, (_, src) in zip(weight_dists, blocks)]
+    starts = [np.concatenate(([0], np.cumsum(counts))) for counts, _ in blocks]
+    bounds = sum(starts)
     # CSR slot of merged edge j: j + offset[its local listener]
-    offset = indptr[tgt_idx] - (np.cumsum(local_deg) - local_deg)
-    for a in range(0, key.size, CHUNK):
-        idx = order[a:a + CHUNK]
-        row = key[idx] // n
-        slot = offset[row] + np.arange(a, a + idx.size)
-        sources[slot] = key[idx] - row * n
-        weights[slot] = draws[idx]
+    offset = indptr[tgt_idx] - bounds[:-1]
+    for r0, r1, a, b in _row_runs(bounds):
+        key = np.concatenate([np.repeat(np.arange(r0, r1) * n, counts[r0:r1]) + src[s[r0]:s[r1]]
+                              for (counts, src), s in zip(blocks, starts)])
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        row = key // n
+        slot = offset[row] + np.arange(a, b)
+        sources[slot] = key - row * n
+        weights[slot] = np.concatenate([d[s[r0]:s[r1]] for d, s in zip(draws, starts)])[order]
+    blocks.clear()
 
 
 def normalize_weights(graph):
@@ -238,10 +281,18 @@ def normalize_weights(graph):
     the graph's own index arrays unless a zero value must be dropped."""
     n = graph.n
     degrees = graph.in_degrees()
-    row_tot = np.bincount(np.repeat(np.arange(n), degrees), weights=graph.weights, minlength=n)
+    row_tot = np.empty(n)
+    values = np.empty(graph.weights.size)
+    for r0, r1, a, b in _row_runs(graph.indptr):
+        deg = degrees[r0:r1]
+        # bincount adds each row's weights in edge order, as it would over the whole graph
+        tot = np.bincount(np.repeat(np.arange(r1 - r0), deg), weights=graph.weights[a:b],
+                          minlength=r1 - r0)
+        row_tot[r0:r1] = tot
+        # weights are >= 0, so a row without positive total holds only zeros
+        np.divide(graph.weights[a:b], np.repeat(np.where(tot > 0.0, tot, np.inf), deg),
+                  out=values[a:b])
     positive = row_tot > 0.0
-    # weights are >= 0, so a row without positive total holds only zeros
-    values = graph.weights / np.repeat(np.where(positive, row_tot, np.inf), degrees)
     if values.all():
         mat = sp.csr_matrix((values, graph.sources, graph.indptr), shape=(n, n))
     else:  # eliminate_zeros works in place, so it gets copies

@@ -317,8 +317,6 @@ def _run_simulate(cfg, out):
     theta = theta_value(cfg.theta_rule, n)
     k_max = _k_max(cfg)
     record = cfg.record
-    if any(v >= n for v in record):
-        raise ConfigError(f"record: vertex ids must be below n = {n}, got {max(record)}")
     rows = []
     for rep in range(cfg.inner_reps):
         labels = sample_labels(spec, n, (cfg.seed, rep))

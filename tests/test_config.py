@@ -84,6 +84,21 @@ model.d = 0
         assert frag in text_problems
 
 
+@pytest.mark.parametrize("flag, fixed", [
+    ("true", True), ("YES", True), ("1", True), ("False", False), ("no", False), ("0", False),
+])
+def test_fixed_composition_flag_values(flag, fixed):
+    cfg = parse_config(MINIMAL + f"model.fixed_composition = {flag}\n")
+    assert cfg.model.fixed_composition is fixed
+
+
+@pytest.mark.parametrize("flag", ["ture", "2", "on"])
+def test_fixed_composition_rejects_non_boolean(flag):
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + f"model.fixed_composition = {flag}\n")
+    assert any(p.startswith("model.fixed_composition") for p in err.value.problems)
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL + "\nmystery = 3\n")

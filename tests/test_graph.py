@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import opinionlab as ol
-from opinionlab import dynamics
+from opinionlab import dynamics, graph
 from opinionlab.distributions import Point, Uniform, VectorDist
 from opinionlab.graph import CHUNK, DENSE_P, _block_pairs
 from opinionlab.model import ModelSpec
@@ -121,17 +121,85 @@ def test_bernoulli_branch_matches_one_shot_draw(n_rows, n_cols):
     assert rng.random() == ref_rng.random()  # the same stream, consumed to the same point
 
 
-def test_build_peak_bytes_per_edge():
-    # the error_sparse model at n = 2e5, theta = 2 e^2 loglog n: about 7.4 M edges
-    n = 200_000
-    spec = ModelSpec(
+def one_shot_geometric(rng, n_rows, n_cols, p):
+    """Geometric skipping with each batch drawn by one rng.geometric call."""
+    total = n_rows * n_cols
+    hits, pos = [], -1
+    expect = p * total
+    batch = max(int(expect + 6.0 * np.sqrt(expect) + 16), 16)
+    while True:
+        pts = rng.geometric(p, size=batch)
+        np.cumsum(pts, out=pts)
+        pts += pos
+        cut = int(np.searchsorted(pts, total))
+        hits.append(pts[:cut])
+        if cut < batch:
+            return np.concatenate(hits)
+        pos = int(pts[-1])
+        batch = max(batch // 4, 16)
+
+
+@pytest.mark.parametrize("n_rows, n_cols, chunk, short_batches", [
+    (3, 7, CHUNK, False),             # below one sub-draw
+    (1000, 2000, CHUNK, False),       # a 202 k-draw batch in four sub-draws
+    (50, 80, 64, False),              # the grid ends mid-batch: later sub-draws are dropped
+    (50, 80, 64, True),               # several batches
+    (50, 80, 5, True),                # several batches, each in sub-draws
+])
+def test_geometric_branch_matches_one_shot_draw(monkeypatch, n_rows, n_cols, chunk,
+                                                short_batches):
+    p = 0.1
+    assert p < DENSE_P
+    monkeypatch.setattr(graph, "CHUNK", chunk)
+    if short_batches:
+        # a batch falls short only some 6 sd out: cut it to its 16-draw floor
+        monkeypatch.setattr(np, "sqrt", lambda x: -float(x))
+    rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
+    rows, cols = _block_pairs(rng, n_rows, n_cols, p)
+    flat = one_shot_geometric(ref_rng, n_rows, n_cols, p)
+    assert flat.size > 0 or n_rows * n_cols < 50
+    assert np.array_equal(rows, flat // n_cols) and np.array_equal(cols, flat % n_cols)
+    assert rng.random() == ref_rng.random()  # the same stream, consumed to the same point
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 500])
+def test_graph_bytes_do_not_depend_on_chunk(monkeypatch, chunk):
+    # many pieces per block, merge and normalization against the default one-piece build
+    def build(spec, labels, theta, seed):
+        g = ol.sample_graph(spec, labels, theta, seed)
+        C = ol.normalize_weights(g)
+        return [g.indptr, g.sources, g.weights, C.matrix.data, C.matrix.indices, C.matrix.indptr]
+
+    cases = []
+    for seed in range(4):
+        spec = random_spec(seed, K=1 + seed, allow_zero_rows=bool(seed % 2))
+        labels = ol.sample_labels(spec, 150, seed)
+        cases += [(spec, labels, theta, seed) for theta in (6.0, 80.0)]
+    expected = [build(*case) for case in cases]
+    monkeypatch.setattr(graph, "CHUNK", chunk)
+    for case, want in zip(cases, expected):
+        got = build(*case)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def error_sparse_spec():
+    return ModelSpec(
         K=2, ell=1, pi=[0.5, 0.5], kappa=[[1.5, 0.5], [0.5, 1.5]], c=0.3, d=0.2, H=1.0,
         weight_dists=[[Uniform(0.2, 1.0)] * 2] * 2,
         belief_dists=[VectorDist((Uniform(-1, 1),))] * 2,
         signal_dists=[VectorDist((Uniform(-1, 1),))] * 2,
     )
+
+
+@pytest.mark.parametrize("spec, n, theta", [
+    # the error_sparse model at n = 2e5, theta = 2 e^2 loglog n: about 7.4 M edges, geometric
+    (error_sparse_spec(), 200_000, 2.0 * math.e**2 * math.log(math.log(200_000))),
+    # one community at p = 0.3 >= DENSE_P: about 1.2 M edges, Bernoulli
+    (one_community_spec(Uniform(0.2, 1.0)), 2000, 600.0),
+], ids=["two_communities_geometric", "one_community_bernoulli"])
+def test_build_peak_bytes_per_edge(spec, n, theta):
+    # steady state is 12 B per edge for the graph plus 8 for C
     labels = ol.sample_labels(spec, n, 1)
-    theta = 2.0 * math.e**2 * math.log(math.log(n))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -140,8 +208,8 @@ def test_build_peak_bytes_per_edge():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert C.matrix.nnz == g.edge_count() > 7_000_000
-    assert peak / g.edge_count() <= 40.0
+    assert C.matrix.nnz == g.edge_count() > 1_000_000
+    assert peak / g.edge_count() <= 24.0
 
 
 def test_influence_shares_graph_index_arrays(monkeypatch):

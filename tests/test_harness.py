@@ -328,6 +328,10 @@ def test_record_id_not_below_n_rejected_at_run(tmp_path, capsys):
     (make_config("error") + "model.kappa = 2 inf ; 1 2\n", "model.kappa"),
     (make_config("concentration", "eps_grid = 0.2 nan"), "eps_grid"),
     (make_config("concentration", "count_means = inf"), "count_means"),
+    (make_config("chaos", "vertex_sets = 5000"), "vertex_sets"),  # n = 120
+    (make_config("chaos", "vertex_sets = -1"), "vertex_sets"),
+    (make_config("simulate", "record = 0 120"), "record"),
+    (make_config("error") + "model.fixed_composition = ture\n", "model.fixed_composition"),
 ])
 def test_cli_malformed_value_is_config_error(tmp_path, capsys, text, key):
     cfg_path = tmp_path / "bad.cfg"
