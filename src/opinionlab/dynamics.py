@@ -99,10 +99,8 @@ def step(state, influence, frame, c, d):
     R = state.R
     if frame.W.shape != R.shape:
         raise ValueError(f"signal frame shape {frame.W.shape} != state shape {R.shape}")
-    if influence.matrix.shape[0] != R.shape[0]:
-        raise ValueError(
-            f"influence matrix is {influence.matrix.shape}, state has {R.shape[0]} rows"
-        )
+    if influence.n != R.shape[0]:
+        raise ValueError(f"influence matrix has {influence.n} rows, state has {R.shape[0]}")
     R_new = c * influence.propagate(R) + frame.W + (1.0 - c - d) * R
     _check_bounds(R_new, state.k + 1)
     return OpinionState(R=R_new, k=state.k + 1)
@@ -187,17 +185,12 @@ def closed_form_state(influence, signal_history, R0, c, d, k):
     if len(signal_history) < k:
         raise ValueError(f"need {k} signal frames, got {len(signal_history)}")
     table = hop_weight_table(k, c, d)
+    inputs = [getattr(frame, "W", frame) for frame in reversed(signal_history[:k])] + [R0]
     total = np.zeros_like(np.asarray(R0, dtype=float))
-    for t in range(k):
-        W = signal_history[k - t - 1].W if hasattr(signal_history[k - t - 1], "W") else signal_history[k - t - 1]
-        power = np.asarray(W, dtype=float)
+    for t, term in enumerate(inputs):
+        power = np.asarray(term, dtype=float)
         total += table[t, 0] * power
         for s in range(1, t + 1):
             power = influence.propagate(power)
             total += table[t, s] * power
-    power = np.asarray(R0, dtype=float)
-    total += table[k, 0] * power
-    for s in range(1, k + 1):
-        power = influence.propagate(power)
-        total += table[k, s] * power
     return OpinionState(R=total, k=k)

@@ -11,9 +11,9 @@ over the candidate grid; sparser blocks skip through the flattened grid
 with geometric gaps (Batagelj & Brandes, Phys. Rev. E 71, 2005), for
 O(#edges) expected cost.  A block is kept as per-listener hit counts and
 int32 sources.  The in-degrees then fix the CSR layout, and each
-listener community's K runs are merged and scattered into place.  C
-shares the graph's index arrays, so graph plus C hold 12 + 8 bytes per
-edge.
+listener community's K runs are merged and scattered into place.  C is
+kept as the graph's raw weights over their row totals, so graph plus C
+hold 12 bytes per edge.
 
 Every pass over cells, draws or edges works on pieces of about CHUNK
 (row-aligned runs from ``_row_runs``, or sub-draws of one geometric
@@ -21,11 +21,11 @@ batch), so no temporary grows with the edge count.  Building the graph
 and C peaks at about 22 B per edge above what was allocated before
 (tracemalloc; two communities at n = 2e5, 7.4 M edges: the merge holds
 the runs, the final arrays and one listener community's weight draws)
-and about 21 B per edge with one community (n = 2e5 geometric, or
-n = 2000 Bernoulli: the normalization holds the graph and C's values).
+and about 13 B per edge with one community (n = 2e5 geometric, or
+n = 2000 Bernoulli).
 """
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,30 +64,47 @@ class GraphSample:
         return int(self.indptr[-1])
 
 
-@dataclass
 class InfluenceMatrix:
-    """Row-stochastic listening weights; rows with no positive weight are zero.
+    """Row-stochastic listening weights C; rows with no positive weight are zero.
 
-    ``normalize_weights`` always stores ``matrix`` as scipy CSR: its
-    product with a dense block is a serial loop, so the output bytes do
-    not depend on the BLAS thread count.  When every weight is positive
-    the CSR's ``indices`` and ``indptr`` are the graph's own ``sources``
-    and ``indptr`` arrays, not copies: neither side may change them in
-    place.  ``dense`` is accepted and ignored, for callers that still
-    pass a hand-built ndarray.
+    ``normalize_weights`` keeps C factored: ``weights`` is the raw weight
+    matrix B as scipy CSR on the graph's own ``weights``, ``sources`` and
+    ``indptr`` (not copies: neither side may change them in place), and
+    ``divisor`` holds each row's total, inf where it is not positive.  No
+    value of C is stored, and ``propagate`` is a serial CSR loop, so its
+    bytes do not depend on the BLAS thread count.  Given no ``divisor``,
+    ``matrix`` is C itself (CSR or ndarray); ``dense`` is ignored.
     """
 
-    matrix: object          # scipy CSR (or a caller's ndarray)
-    zero_rows: np.ndarray   # bool per listener
-    dense: InitVar[bool] = False
+    def __init__(self, matrix, zero_rows, dense=False, divisor=None):
+        self.weights = matrix       # B, or C when divisor is None
+        self.zero_rows = zero_rows  # bool per listener
+        self.divisor = divisor
 
     @property
     def n(self):
-        return self.matrix.shape[0]
+        return self.weights.shape[0]
+
+    @property
+    def matrix(self):
+        """C, built from the factors on each access, on the graph's index
+        arrays unless a value is 0; for tests and inspection only."""
+        B = self.weights
+        if self.divisor is None:
+            return B
+        values = B.data / np.repeat(self.divisor, np.diff(B.indptr))
+        mat = sp.csr_matrix((values, B.indices, B.indptr), shape=B.shape)
+        if not values.all():  # eliminate_zeros works in place, so on a copy
+            mat = mat.copy()
+            mat.eliminate_zeros()
+        return mat
 
     def propagate(self, X):
         """C @ X as a dense array."""
-        return np.asarray(self.matrix @ X)
+        Y = np.asarray(self.weights @ X)
+        if self.divisor is not None:
+            Y /= self.divisor[:, None] if Y.ndim == 2 else self.divisor
+        return Y
 
     def row_sums(self):
         return np.asarray(self.matrix.sum(axis=1)).ravel()
@@ -277,28 +294,18 @@ def _place_community(blocks, weight_dists, weight_rng, tgt_idx, indptr, sources,
 
 
 def normalize_weights(graph):
-    """Listener-normalize raw weights into the row-stochastic matrix, on
-    the graph's own index arrays unless a zero value must be dropped."""
+    """The influence matrix as the graph's raw weights over their row totals."""
     n = graph.n
+    divisor = np.empty(n)
     degrees = graph.in_degrees()
-    row_tot = np.empty(n)
-    values = np.empty(graph.weights.size)
     for r0, r1, a, b in _row_runs(graph.indptr):
-        deg = degrees[r0:r1]
         # bincount adds each row's weights in edge order, as it would over the whole graph
-        tot = np.bincount(np.repeat(np.arange(r1 - r0), deg), weights=graph.weights[a:b],
-                          minlength=r1 - r0)
-        row_tot[r0:r1] = tot
-        # weights are >= 0, so a row without positive total holds only zeros
-        np.divide(graph.weights[a:b], np.repeat(np.where(tot > 0.0, tot, np.inf), deg),
-                  out=values[a:b])
-    positive = row_tot > 0.0
-    if values.all():
-        mat = sp.csr_matrix((values, graph.sources, graph.indptr), shape=(n, n))
-    else:  # eliminate_zeros works in place, so it gets copies
-        mat = sp.csr_matrix((values, graph.sources.copy(), graph.indptr.copy()), shape=(n, n))
-        mat.eliminate_zeros()
-    return InfluenceMatrix(matrix=mat, zero_rows=~positive)
+        divisor[r0:r1] = np.bincount(np.repeat(np.arange(r1 - r0), degrees[r0:r1]),
+                                     weights=graph.weights[a:b], minlength=r1 - r0)
+    zero_rows = divisor <= 0.0  # weights are >= 0, so such a row holds only zeros
+    divisor[zero_rows] = np.inf
+    B = sp.csr_matrix((graph.weights, graph.sources, graph.indptr), shape=(n, n))
+    return InfluenceMatrix(matrix=B, zero_rows=zero_rows, divisor=divisor)
 
 
 def write_graph(graph, path):

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import opinionlab as ol
-from opinionlab.dynamics import OpinionState, SignalFrame, hop_weight, hop_weight_table
+from opinionlab.dynamics import OpinionState, SignalFrame, hop_weight, hop_weight_table, run_graph
 from opinionlab.distributions import Point, Uniform, VectorDist
 from opinionlab.graph import InfluenceMatrix
 from opinionlab.model import ModelSpec
@@ -232,3 +232,20 @@ def test_contraction_of_initial_condition():
         sb = ol.step(sb, C, frame, spec.c, spec.d)
         gap = np.abs(sa.R - sb.R).sum(axis=1).max()
         assert gap <= (1 - spec.d) ** k * base + 1e-12
+
+
+def test_dynamics_never_build_c(monkeypatch):
+    # C is only ever applied as (B @ X) / row totals: building it would raise
+    def refuse(self):
+        raise AssertionError("the dynamics built C")
+
+    monkeypatch.setattr(InfluenceMatrix, "matrix", property(refuse))
+    spec = random_spec(5, K=2, allow_zero_rows=True)
+    labels = ol.sample_labels(spec, 40, 5)
+    run_graph(spec, labels, 6.0, 4, 5, lambda state, frame: None)
+    g = ol.sample_graph(spec, labels, 6.0, 5)
+    C = ol.normalize_weights(g)
+    _, state, history = ol.simulate(spec, g, C, 4, 5, keep_signals=True)
+    R0 = spec.sample_initial(labels, g.beliefs, substream(5, INIT))
+    oracle = ol.closed_form_state(C, history, R0, spec.c, spec.d, 4)
+    assert np.abs(oracle.R - state.R).max() < 1e-10

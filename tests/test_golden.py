@@ -52,16 +52,16 @@ CONFIGS = {
 
 DIGESTS = {
     "chaos": {
-        "chaos.csv": "4878e264bfc5c5a0ee37ed1b2a8ebafef52874f1245dd5ecf5dbc4448dd7b55d",
-        "summary.json": "0079390ae00ef36b6802f85cb931f12b0e22b69eab0a80e646a3eb8b61138d8e",
+        "chaos.csv": "21076f82b36fd52bbffd9be616abc83ebe739e03ffb7321af5c16c3229f903d6",
+        "summary.json": "b3672dac3648716b200ab9cbdb40c3ea7648c261aa885db9ff3e610779006f7f",
     },
     "concentration": {
         "concentration.csv": "a1174adcb73eac7aaae02d082baabe166d4f64c92b508542a33468503b44622c",
         "summary.json": "343e028e617fb2880d4a6ddc0746d2cd64dae1521afc4549b87de818624a9ab5",
     },
     "error": {
-        "error_curve.csv": "2ac2c96c0a74cacf6756965c78b37fc6e7d26c4944ab99813b20d7102003d867",
-        "summary.json": "2979d61be979865669490e1a90ba251a74d01f27357a73bb6d8567f4bd9c23f4",
+        "error_curve.csv": "3ce40f5f4891c5c7b88ef58f319b44cbb8ece1ebeac0e1ca3cdf2d43a1a5d72d",
+        "summary.json": "3163d81ec00b75f1b06d43d0ba3d5358236c7b00219407fabc14a1c8b9f7298f",
     },
     "meanfield": {
         "model_report.json": "c709c0a665c95c8a4616c45542df3d95d313c3725310fb99a29a91843fc6df51",
@@ -69,11 +69,11 @@ DIGESTS = {
     },
     "simulate": {
         "summary.json": "983acfd586490251dd50c6f6f1d27e01f650fc8343b0a6e2978442d8c8346960",
-        "trajectories.csv": "80e1e9a2ea3f0393c9990607e93f5bc69afed6b70490813ca175046ab8c7308f",
+        "trajectories.csv": "e5275daaf3c32609a473fde090afe187cdc066cf01b6d5b15469bdd567eae988",
     },
     "stationary": {
-        "stationarity.csv": "b16c3af3b9811997db52d33cbccadd266f0d9aabc736ab34f883b332250a7881",
-        "summary.json": "8f20df86d2bca29776f9ccce2e98602239a1d73a19bd97867de91b6797c83e72",
+        "stationarity.csv": "b03fa6a04423fb7a3c9ecbea2f6d58c98a109daa23777ea5b5b24e3c7c14fdc5",
+        "summary.json": "c7c62b1670de7f76ff3b52b66ebd412ce2e83dd0df6d0edc34a76f4f6c3b5802",
     },
     "tree": {
         "summary.json": "22ff0d9b0f2d04025897045867850faeb2650ade73d7e0b6528a99efbaf7a55e",
@@ -105,8 +105,8 @@ HIGH_DEGREE_CONFIG = (
 )
 
 HIGH_DEGREE_DIGESTS = {
-    "stationarity.csv": "b1215b430dbee58051f3602347aa3eebff181a8374ac3f27ad7accd5ba897cb6",
-    "summary.json": "d7d2d89106089b12b58ca86d0346f84c11697366f7986d46ac5dc236e253b945",
+    "stationarity.csv": "4b61d92c52926d755f903cf1744172c4d712830ae76af6ebb007b1f41845885d",
+    "summary.json": "4bb65b534133f13de5598e30792b2a3c0b3cd4513e1bf97bfd429ff8c4a94a41",
 }
 
 

@@ -191,25 +191,32 @@ def error_sparse_spec():
     )
 
 
-@pytest.mark.parametrize("spec, n, theta", [
-    # the error_sparse model at n = 2e5, theta = 2 e^2 loglog n: about 7.4 M edges, geometric
-    (error_sparse_spec(), 200_000, 2.0 * math.e**2 * math.log(math.log(200_000))),
+@pytest.mark.parametrize("spec, n, theta, peak_bound", [
+    # the error_sparse model at n = 2e5, theta = 2 e^2 loglog n: about 7.4 M edges, geometric;
+    # its peak is the merge of each listener community's runs
+    (error_sparse_spec(), 200_000, 2.0 * math.e**2 * math.log(math.log(200_000)), 24.0),
     # one community at p = 0.3 >= DENSE_P: about 1.2 M edges, Bernoulli
-    (one_community_spec(Uniform(0.2, 1.0)), 2000, 600.0),
+    (one_community_spec(Uniform(0.2, 1.0)), 2000, 600.0, 16.0),
 ], ids=["two_communities_geometric", "one_community_bernoulli"])
-def test_build_peak_bytes_per_edge(spec, n, theta):
-    # steady state is 12 B per edge for the graph plus 8 for C
+def test_build_peak_bytes_per_edge(spec, n, theta, peak_bound):
+    # steady state is 12 B per edge for the graph; C adds only its row divisors
     labels = ol.sample_labels(spec, n, 1)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         g = ol.sample_graph(spec, labels, theta, 1)
+        before, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         C = ol.normalize_weights(g)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        held, normalize_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert C.matrix.nnz == g.edge_count() > 1_000_000
-    assert peak / g.edge_count() <= 24.0
+    m = g.edge_count()
+    assert m > 1_000_000
+    assert (max(build_peak, normalize_peak) - base) / m <= peak_bound
+    assert (normalize_peak - before) / m <= 1.0
+    assert (held - base) / m <= 13.0
+    assert C.matrix.nnz == m
 
 
 def test_influence_shares_graph_index_arrays(monkeypatch):
@@ -218,6 +225,9 @@ def test_influence_shares_graph_index_arrays(monkeypatch):
     labels = ol.sample_labels(spec, 300, 3)
     g = ol.sample_graph(spec, labels, 12.0, 3)
     C = ol.normalize_weights(g)
+    assert np.shares_memory(C.weights.data, g.weights)
+    assert np.shares_memory(C.weights.indices, g.sources)
+    assert np.shares_memory(C.weights.indptr, g.indptr)
     assert np.shares_memory(C.matrix.indices, g.sources)
     assert np.shares_memory(C.matrix.indptr, g.indptr)
 
@@ -234,6 +244,28 @@ def test_influence_shares_graph_index_arrays(monkeypatch):
     graph, indptr, sources, weights = kept[0]
     assert np.array_equal(graph.indptr, indptr) and np.array_equal(graph.sources, sources)
     assert np.array_equal(graph.weights, weights)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_factored_propagate_matches_built_matrix(seed):
+    # (B @ X) / row totals against the product with C built entry by entry
+    rng = np.random.default_rng(seed)
+    spec = random_spec(seed, K=1 + seed // 2, allow_zero_rows=True)
+    if seed % 2:  # a block whose weights are all zero
+        r, s = rng.integers(0, spec.K, size=2)
+        spec.weight_dists[r][s] = Point(0.0)
+    n = 120
+    labels = ol.sample_labels(spec, n, seed)
+    for theta in (4.0, 60.0):  # geometric-skip blocks, then Bernoulli and complete ones
+        C = ol.normalize_weights(ol.sample_graph(spec, labels, theta, seed))
+        built = C.matrix
+        for shape in ((n,), (n, 1), (n, 4)):
+            for X in (rng.uniform(-1.0, 1.0, size=shape), rng.choice([-1.0, 1.0], size=shape)):
+                Y = C.propagate(X)
+                assert Y.shape == shape
+                assert np.abs(Y - built @ X).max() <= 1e-14
+                assert np.all(Y[C.zero_rows] == 0.0)
+                assert np.abs(Y).max() <= 1.0 + 1e-12
 
 
 def assert_in_edge_layout(g):
