@@ -173,6 +173,21 @@ class VectorDist:
         return len(self.components)
 
 
+def sample_by_label(dists, labels, rng, shape=()):
+    """One draw from ``dists[labels[i]]`` per entry i, as an array of
+    shape ``labels.shape + shape``.  Label 0's draws come first from the
+    stream, then label 1's, and so on; each fills its label's entries in
+    index order."""
+    labels = np.asarray(labels)
+    out = np.empty(labels.shape + tuple(shape))
+    for r, dist in enumerate(dists):
+        mask = labels == r
+        cnt = int(np.count_nonzero(mask))
+        if cnt:
+            out[mask] = dist.sample(rng, size=cnt)
+    return out
+
+
 def _fmt(x):
     x = float(x)
     if x == int(x) and abs(x) < 1e15:

@@ -10,19 +10,19 @@ Blocks with edge probability >= DENSE_P run vectorized Bernoulli draws
 over the candidate grid; sparser blocks skip through the flattened grid
 with geometric gaps (Batagelj & Brandes, Phys. Rev. E 71, 2005), for
 O(#edges) expected cost.  A block is kept as per-listener hit counts and
-int32 sources.  The in-degrees then fix the CSR layout, and each
-listener community's K runs are merged and scattered into place.  C is
-kept as the graph's raw weights over their row totals, so graph plus C
-hold 12 bytes per edge.
+int32 sources.  The in-degrees then fix the CSR layout, and each block
+is scattered into place: a row holds its source blocks in community
+order, each block's sources ascending.  C is kept as the graph's raw
+weights over their row totals, so graph plus C hold 12 bytes per edge.
 
 Every pass over cells, draws or edges works on pieces of about CHUNK
 (row-aligned runs from ``_row_runs``, or sub-draws of one geometric
 batch), so no temporary grows with the edge count.  Building the graph
-and C peaks at about 22 B per edge above what was allocated before
-(tracemalloc; two communities at n = 2e5, 7.4 M edges: the merge holds
-the runs, the final arrays and one listener community's weight draws)
-and about 13 B per edge with one community (n = 2e5 geometric, or
-n = 2000 Bernoulli).
+and C peaks at about 21 B per edge above what was allocated before
+(tracemalloc; two equal communities at n = 2e5, 7.4 M edges: placing a
+block holds the runs' sources, the final arrays and that block's weight
+draws) and about 13 B per edge with one community (n = 2e5 geometric,
+or n = 2000 Bernoulli).
 """
 
 from dataclasses import dataclass
@@ -42,8 +42,9 @@ class GraphSample:
     """One realized dSBM with vertex marks and in-edge lists.
 
     In-edges are stored CSR-style: the sources of listener i are
-    ``sources[indptr[i]:indptr[i+1]]``, in ascending order, with parallel
-    raw weights ``weights[indptr[i]:indptr[i+1]]``.
+    ``sources[indptr[i]:indptr[i+1]]``, with parallel raw weights
+    ``weights[indptr[i]:indptr[i+1]]``.  They are grouped by source
+    community in label order and ascend within each community.
     """
 
     n: int
@@ -267,29 +268,24 @@ def sample_graph(spec, labels, theta, seed):
 
 
 def _place_community(blocks, weight_dists, weight_rng, tgt_idx, indptr, sources, weights):
-    """Merge one listener community's runs by (listener, source) into the
-    graph's CSR slots, with their weights; empties ``blocks``.
+    """Place one listener community's runs, with their weights, into the
+    graph's CSR slots; empties ``blocks``.
 
-    Each run is sorted by that key already, so a stable argsort of one
-    row range's keys from every run is a K-way merge of those rows; keys
-    are unique, since a cell is drawn at most once.
+    Within a row, source block s follows block s - 1.  A run lists its
+    edges by listener already, so an edge's slot is its listener's next
+    free slot plus its rank among that listener's edges in the run.
     """
-    n = indptr.size - 1
-    # an empty block draws nothing from the weight stream
-    draws = [w.sample(weight_rng, size=src.size) for w, (_, src) in zip(weight_dists, blocks)]
-    starts = [np.concatenate(([0], np.cumsum(counts))) for counts, _ in blocks]
-    bounds = sum(starts)
-    # CSR slot of merged edge j: j + offset[its local listener]
-    offset = indptr[tgt_idx] - bounds[:-1]
-    for r0, r1, a, b in _row_runs(bounds):
-        key = np.concatenate([np.repeat(np.arange(r0, r1) * n, counts[r0:r1]) + src[s[r0]:s[r1]]
-                              for (counts, src), s in zip(blocks, starts)])
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        row = key // n
-        slot = offset[row] + np.arange(a, b)
-        sources[slot] = key - row * n
-        weights[slot] = np.concatenate([d[s[r0]:s[r1]] for d, s in zip(draws, starts)])[order]
+    fill = indptr[tgt_idx]  # each local listener's next free slot
+    for (counts, src), dist in zip(blocks, weight_dists):
+        # one draw per block, so a mix: law's bytes do not depend on CHUNK;
+        # an empty block draws nothing from the weight stream
+        draws = dist.sample(weight_rng, size=src.size)
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        for r0, r1, a, b in _row_runs(starts):
+            slot = np.repeat(fill[r0:r1] - starts[r0:r1], counts[r0:r1]) + np.arange(a, b)
+            sources[slot] = src[a:b]
+            weights[slot] = draws[a:b]
+        fill += counts
     blocks.clear()
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .rng import substream
-from .distributions import Point, Uniform
+from .distributions import Point, Uniform, sample_by_label
 from .parallel import parallel_map
 
 NODE_BUDGET = 1_000_000
@@ -150,15 +150,9 @@ def _empty_level(K):
 
 
 def _draw_edge_weights(spec, parent_types, child_types, rng):
-    total = parent_types.size
-    out = np.empty(total)
-    for pt in range(spec.K):
-        for ct in range(spec.K):
-            mask = (parent_types == pt) & (child_types == ct)
-            cnt = int(mask.sum())
-            if cnt:
-                out[mask] = spec.weight_dists[pt][ct].sample(rng, size=cnt)
-    return out
+    # pair label pt * K + ct orders the draws parent type first, child type second
+    pair_dists = [dist for row in spec.weight_dists for dist in row]
+    return sample_by_label(pair_dists, parent_types * spec.K + child_types, rng)
 
 
 def weighted_generation_sum(tree, s, values):
@@ -356,12 +350,7 @@ def _batch_sums(spec, root_type, q, s_max, dists, b, rng, value_rng, point_weigh
         if K == 1:
             values = _draw_values(dists[0], value_rng, total)
         else:
-            values = np.empty(total)
-            for ct in range(K):
-                mask = types == ct
-                cnt = int(mask.sum())
-                if cnt:
-                    values[mask] = dists[ct].sample(value_rng, size=cnt)
+            values = sample_by_label(dists, types, value_rng)
         sums[:, s - 1] = np.bincount(tree_id, weights=path * values, minlength=b)
     return sums
 

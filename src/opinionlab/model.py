@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import VectorDist, supported_in
+from .distributions import VectorDist, sample_by_label, supported_in
 
 
 class SpecError(ValueError):
@@ -172,24 +172,11 @@ class ModelSpec:
         return np.array([dist.mean() for dist in self.init_dists])
 
     def sample_beliefs(self, labels, rng):
-        n = len(labels)
-        out = np.empty((n, self.ell), dtype=float)
-        for r in range(self.K):
-            mask = labels == r
-            cnt = int(mask.sum())
-            if cnt:
-                out[mask] = self.belief_dists[r].sample(rng, size=cnt)
-        return out
+        return sample_by_label(self.belief_dists, labels, rng, (self.ell,))
 
     def sample_signals(self, labels, beliefs, rng):
         """One round of media draws for every vertex."""
-        n = len(labels)
-        out = np.empty((n, self.ell), dtype=float)
-        for r in range(self.K):
-            mask = labels == r
-            cnt = int(mask.sum())
-            if cnt:
-                out[mask] = self.signal_dists[r].sample(rng, size=cnt)
+        out = sample_by_label(self.signal_dists, labels, rng, (self.ell,))
         w = self.signal_belief_weight
         if w:
             out = (1.0 - w) * out + w * beliefs
@@ -198,11 +185,4 @@ class ModelSpec:
     def sample_initial(self, labels, beliefs, rng):
         if self.init_dists == "beliefs":
             return beliefs.copy()
-        n = len(labels)
-        out = np.empty((n, self.ell), dtype=float)
-        for r in range(self.K):
-            mask = labels == r
-            cnt = int(mask.sum())
-            if cnt:
-                out[mask] = self.init_dists[r].sample(rng, size=cnt)
-        return out
+        return sample_by_label(self.init_dists, labels, rng, (self.ell,))

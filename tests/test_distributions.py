@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from opinionlab.distributions import (
     DistributionError, Mixture, Point, ScaledBeta, Uniform, VectorDist,
-    parse_scalar, parse_vector, supported_in,
+    parse_scalar, parse_vector, sample_by_label, supported_in,
 )
 
 from conftest import random_scalar_dist
@@ -51,6 +51,19 @@ def test_vector_dist_shapes():
     assert out.shape == (7, 2)
     assert np.all(out[:, 0] == 0.1)
     assert v.mean() == pytest.approx([0.1, 0.0])
+
+
+def test_sample_by_label_draws_label_by_label():
+    dists = [VectorDist((Uniform(0, 1), Point(0.5))), VectorDist((Uniform(2, 3), Point(-0.5))),
+             VectorDist((Uniform(4, 5), Point(0.0)))]  # label 2 never occurs
+    labels = np.array([1, 0, 1, 1, 0])
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    out = sample_by_label(dists, labels, rng, (2,))
+    assert out.shape == (5, 2)
+    assert np.array_equal(out[[1, 4]], dists[0].sample(ref_rng, size=2))
+    assert np.array_equal(out[[0, 2, 3]], dists[1].sample(ref_rng, size=3))
+    assert rng.random() == ref_rng.random()  # an absent label draws nothing
+    assert sample_by_label(dists[:2], np.zeros(0, np.int64), rng).shape == (0,)
 
 
 @pytest.mark.parametrize(

@@ -52,16 +52,16 @@ CONFIGS = {
 
 DIGESTS = {
     "chaos": {
-        "chaos.csv": "21076f82b36fd52bbffd9be616abc83ebe739e03ffb7321af5c16c3229f903d6",
-        "summary.json": "b3672dac3648716b200ab9cbdb40c3ea7648c261aa885db9ff3e610779006f7f",
+        "chaos.csv": "966c2e019615932ad42fa813f85664aaad439a6b78a207e71b743e79814ba901",
+        "summary.json": "33c6828c2ab8fecd8f6e56ba8479dc3594b4d752cb1134b7546814e65777bc73",
     },
     "concentration": {
         "concentration.csv": "a1174adcb73eac7aaae02d082baabe166d4f64c92b508542a33468503b44622c",
         "summary.json": "343e028e617fb2880d4a6ddc0746d2cd64dae1521afc4549b87de818624a9ab5",
     },
     "error": {
-        "error_curve.csv": "3ce40f5f4891c5c7b88ef58f319b44cbb8ece1ebeac0e1ca3cdf2d43a1a5d72d",
-        "summary.json": "3163d81ec00b75f1b06d43d0ba3d5358236c7b00219407fabc14a1c8b9f7298f",
+        "error_curve.csv": "7617349d6664ed83afb4933c14e53374f1103859b822ce965e106a9e4807c974",
+        "summary.json": "eb7ed50a544d5a7b5dcbd193400b6cf20d78f0681256433a6b3a0b9257375fb7",
     },
     "meanfield": {
         "model_report.json": "c709c0a665c95c8a4616c45542df3d95d313c3725310fb99a29a91843fc6df51",
@@ -69,11 +69,11 @@ DIGESTS = {
     },
     "simulate": {
         "summary.json": "983acfd586490251dd50c6f6f1d27e01f650fc8343b0a6e2978442d8c8346960",
-        "trajectories.csv": "e5275daaf3c32609a473fde090afe187cdc066cf01b6d5b15469bdd567eae988",
+        "trajectories.csv": "093c58f7611cf2ed0e09f1801e1342be4131dc8b14d9efc83da34d5309cbda56",
     },
     "stationary": {
-        "stationarity.csv": "b03fa6a04423fb7a3c9ecbea2f6d58c98a109daa23777ea5b5b24e3c7c14fdc5",
-        "summary.json": "c7c62b1670de7f76ff3b52b66ebd412ce2e83dd0df6d0edc34a76f4f6c3b5802",
+        "stationarity.csv": "5c11853452f87c1380eb6cf051d1109fd681d3069a94e565967e7eb93305e3dc",
+        "summary.json": "06438c1f44f062fced56cf2752de41f6c158e996de84c106c48c55f624453926",
     },
     "tree": {
         "summary.json": "22ff0d9b0f2d04025897045867850faeb2650ade73d7e0b6528a99efbaf7a55e",
@@ -105,8 +105,8 @@ HIGH_DEGREE_CONFIG = (
 )
 
 HIGH_DEGREE_DIGESTS = {
-    "stationarity.csv": "4b61d92c52926d755f903cf1744172c4d712830ae76af6ebb007b1f41845885d",
-    "summary.json": "4bb65b534133f13de5598e30792b2a3c0b3cd4513e1bf97bfd429ff8c4a94a41",
+    "stationarity.csv": "c39f76a8e94776bcfef95ad1db0bcd48139dd2c0dd5875ddf2fbe6fbf4a8912a",
+    "summary.json": "34fc1ecb8933156793f47418740956ec85b1a3788f895b7ff8b447a18d6221b4",
 }
 
 

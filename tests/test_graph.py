@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import opinionlab as ol
 from opinionlab import dynamics, graph
+from opinionlab import rng as rngmod
 from opinionlab.distributions import Point, Uniform, VectorDist
 from opinionlab.graph import CHUNK, DENSE_P, _block_pairs
 from opinionlab.model import ModelSpec
+from opinionlab.rng import substream
 
 from conftest import random_spec
 
@@ -164,7 +166,7 @@ def test_geometric_branch_matches_one_shot_draw(monkeypatch, n_rows, n_cols, chu
 
 @pytest.mark.parametrize("chunk", [1, 7, 500])
 def test_graph_bytes_do_not_depend_on_chunk(monkeypatch, chunk):
-    # many pieces per block, merge and normalization against the default one-piece build
+    # many pieces per block, placement and normalization against the default one-piece build
     def build(spec, labels, theta, seed):
         g = ol.sample_graph(spec, labels, theta, seed)
         C = ol.normalize_weights(g)
@@ -193,7 +195,7 @@ def error_sparse_spec():
 
 @pytest.mark.parametrize("spec, n, theta, peak_bound", [
     # the error_sparse model at n = 2e5, theta = 2 e^2 loglog n: about 7.4 M edges, geometric;
-    # its peak is the merge of each listener community's runs
+    # its peak is the placement of each listener community's runs
     (error_sparse_spec(), 200_000, 2.0 * math.e**2 * math.log(math.log(200_000)), 24.0),
     # one community at p = 0.3 >= DENSE_P: about 1.2 M edges, Bernoulli
     (one_community_spec(Uniform(0.2, 1.0)), 2000, 600.0, 16.0),
@@ -273,8 +275,9 @@ def assert_in_edge_layout(g):
     assert g.indptr[0] == 0 and np.all(degrees >= 0)
     assert g.indptr[-1] == g.edge_count() == g.sources.size == g.weights.size
     rows = np.repeat(np.arange(g.n), degrees)
-    # each listener's sources strictly increase, so no edge is stored twice
-    assert np.all(np.diff(g.sources)[rows[1:] == rows[:-1]] > 0)
+    # each listener's sources strictly increase by (community, id), so no edge is stored twice
+    key = g.labels[g.sources] * g.n + g.sources
+    assert np.all(np.diff(key)[rows[1:] == rows[:-1]] > 0)
     assert np.all(g.sources != rows)
     assert np.array_equal(g.no_inbound, degrees == 0)
 
@@ -285,6 +288,40 @@ def test_in_edge_layout(seed):
     labels = ol.sample_labels(spec, 120, seed)
     for theta in (4.0, 60.0):  # geometric-skip blocks, then Bernoulli and complete ones
         assert_in_edge_layout(ol.sample_graph(spec, labels, theta, seed))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rows_hold_source_blocks_in_stream_order(seed):
+    # oracle: redraw each (listener, source) block from the edge stream and read
+    # its run out of every row, then its weights, row-major, from the weight stream
+    K = 2 + seed % 3
+    spec = random_spec(seed, K=K, allow_zero_rows=True)
+    n = 150
+    labels = ol.sample_labels(spec, n, seed)
+    idx = [np.flatnonzero(labels == r) for r in range(K)]
+    branches = set()
+    for theta in (4.0, 60.0):  # geometric-skip blocks, then mostly Bernoulli ones
+        g = ol.sample_graph(spec, labels, theta, seed)
+        edge_rng = substream(seed, rngmod.EDGES)
+        weight_rng = substream(seed, rngmod.WEIGHTS)
+        fill = g.indptr[:-1].astype(np.int64)  # each listener's first unread slot
+        for r in range(K):
+            for s in range(K):
+                p = min(spec.kappa[s, r] * theta / n, 1.0)
+                branches.add(p >= DENSE_P)
+                rows, cols = _block_pairs(edge_rng, idx[r].size, idx[s].size, p)
+                if r == s:
+                    keep = rows != cols
+                    rows, cols = rows[keep], cols[keep]
+                counts = np.bincount(rows, minlength=idx[r].size)
+                slots = np.concatenate([np.empty(0, np.int64)] + [
+                    np.arange(fill[t], fill[t] + c) for t, c in zip(idx[r], counts)])
+                assert np.array_equal(g.sources[slots], idx[s][cols])
+                draws = spec.weight_dists[r][s].sample(weight_rng, size=cols.size)
+                assert np.array_equal(g.weights[slots], draws)
+                fill[idx[r]] += counts
+        assert np.array_equal(fill, g.indptr[1:])
+    assert branches == {False, True}
 
 
 def test_in_edge_layout_edgeless_graph():
