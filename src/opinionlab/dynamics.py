@@ -90,7 +90,8 @@ def sample_signal_frame(spec, graph, seed, k=None):
     else:
         rng = substream(seed, int(k), rngmod.SIGNALS)
     Z = spec.sample_signals(graph.labels, graph.beliefs, rng)
-    W = spec.d * Z + spec.c * graph.beliefs * graph.no_inbound[:, None]
+    W = spec.d * Z
+    W += spec.c * graph.beliefs * graph.no_inbound[:, None]
     return SignalFrame(W=W, Z=Z)
 
 
@@ -101,7 +102,11 @@ def step(state, influence, frame, c, d):
         raise ValueError(f"signal frame shape {frame.W.shape} != state shape {R.shape}")
     if influence.n != R.shape[0]:
         raise ValueError(f"influence matrix has {influence.n} rows, state has {R.shape[0]}")
-    R_new = c * influence.propagate(R) + frame.W + (1.0 - c - d) * R
+    # c * C R + W + (1 - c - d) * R, in place on the fresh product
+    R_new = influence.propagate(R)
+    R_new *= c
+    R_new += frame.W
+    R_new += (1.0 - c - d) * R
     _check_bounds(R_new, state.k + 1)
     return OpinionState(R=R_new, k=state.k + 1)
 
@@ -173,9 +178,12 @@ class ExplicitProcess:
         self.decay = 1.0
 
     def advance(self, W, base):
-        self.stream = self.a * self.stream + W
+        self.stream *= self.a
+        self.stream += W
         self.decay *= self.a
-        return self.stream + base + self.decay * self.R0
+        out = self.stream + base
+        out += self.decay * self.R0
+        return out
 
 
 def closed_form_state(influence, signal_history, R0, c, d, k):

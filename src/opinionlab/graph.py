@@ -25,6 +25,7 @@ draws) and about 13 B per edge with one community (n = 2e5 geometric,
 or n = 2000 Bernoulli).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,13 +176,16 @@ def _block_pieces(rng, n_rows, n_cols, p):
             yield _grid_cells(flat, n_cols)
     else:
         # geometric skipping over the flattened grid; each batch is drawn in
-        # pieces of at most CHUNK, which leaves the stream where one draw would
+        # pieces of at most CHUNK, which leaves the stream where one draw would.
+        # A gap longer than total + 1 leaves the grid all the same, so gaps are
+        # clipped there: a sub-draw's cumsum stays below CHUNK * (total + 1),
+        # within int64 for any p on blocks of up to 1e14 cells.
         pos, done = -1, False
         expect = p * total
         batch = max(int(expect + 6.0 * np.sqrt(expect) + 16), 16)
         while not done:
             for a in range(0, batch, CHUNK):
-                pts = rng.geometric(p, size=min(CHUNK, batch - a))
+                pts = _geometric_gaps(rng, p, min(CHUNK, batch - a), total + 1)
                 if done:  # past the grid: the rest of the batch is drawn and dropped
                     continue
                 np.cumsum(pts, out=pts)
@@ -191,6 +195,21 @@ def _block_pieces(rng, n_rows, n_cols, p):
                 done = cut < pts.size
                 pos = int(pts[-1])
             batch = max(batch // 4, 16)
+
+
+def _geometric_gaps(rng, p, size, cap):
+    """size Geometric(p) draws, clipped at cap, as int64.
+
+    ceil(E / -log1p(-p)) for a standard exponential E is how numpy draws
+    rng.geometric(p) for p < 1/3, so for such p these are its values and
+    its stream, at about half the cost per draw.
+    """
+    gaps = rng.standard_exponential(size)
+    with np.errstate(over="ignore"):  # a subnormal p gives inf, clipped below
+        gaps /= -math.log1p(-p)
+    np.ceil(gaps, out=gaps)
+    np.minimum(gaps, cap, out=gaps)
+    return gaps.astype(np.int64)
 
 
 def _grid_cells(flat, n_cols):

@@ -11,7 +11,12 @@ Trees are built level by level under a node budget, since expected
 generation size grows geometrically with depth.  Monte Carlo trees are
 simulated in batches; batch i draws from jumped(i) of the tree and value
 streams, so batches run on worker threads and the output does not
-depend on the thread count.
+depend on the thread count.  A batch keeps, between generations, only
+each node's path weight, tree id and (K > 1) type, and with K = 1 it
+reduces the deepest generation per parent, so it peaks at about 49 B
+per second-to-last-generation node with K = 1 and point weights
+(tracemalloc; 66 B with uniform weights) and at about 52 B per
+deepest-generation node with K = 2.
 """
 
 from dataclasses import dataclass
@@ -292,22 +297,34 @@ def _leaf_segment_sums(spec, dist, per_node, rng, value_rng, point_weight):
             seg_x[lo:hi] = _segment_sums(values, counts)
         else:
             weight = spec.weight_dists[0][0].sample(rng, size=size)
-            seg_x[lo:hi] = _segment_sums(weight * values, counts)
             seg_w[lo:hi] = _segment_sums(weight, counts)
+            weight *= values
+            seg_x[lo:hi] = _segment_sums(weight, counts)
+            del weight
+        del values  # before the next run's draws
         lo = hi
     return seg_x, seg_w
 
 
 def _batch_sums(spec, root_type, q, s_max, dists, b, rng, value_rng, point_weight, cap):
+    """Generation sums of b trees, one generation at a time.
+
+    A generation keeps only what the next one reads: each node's path
+    weight and tree id, and its type when K > 1 (with K = 1 every node
+    and edge has type 0).  Parent indices, edge weights and values are
+    dropped once used, and the deepest K = 1 generation is reduced per
+    parent with no child arrays.  Point weights need no parent index at
+    all: a child's normalized weight is 1 / its parent's child count, so
+    path weights and tree ids are repeated from the parents.
+    """
     K = spec.K
-    types = np.full(b, root_type, dtype=np.int64)
+    types = np.full(b, root_type, dtype=np.int64) if K > 1 else None
     tree_id = np.arange(b)
     path = np.ones(b)
     sums = np.zeros((b, s_max))
     for s in range(1, s_max + 1):
         if K == 1:
-            counts = rng.poisson(q[0, 0], size=types.size)
-            per_node = counts
+            per_node = rng.poisson(q[0, 0], size=path.size)
         else:
             counts = rng.poisson(q[:, types].T)
             per_node = counts.sum(axis=1)
@@ -322,36 +339,43 @@ def _batch_sums(spec, root_type, q, s_max, dists, b, rng, value_rng, point_weigh
                 break
             seg_x, seg_w = _leaf_segment_sums(spec, dists[0], per_node, rng, value_rng,
                                               point_weight)
+            seg_x *= path
             if seg_w is None:
-                contrib = path * seg_x / np.maximum(per_node, 1)
+                seg_x /= np.maximum(per_node, 1)
             else:
-                contrib = np.where(seg_w > 0, path * seg_x / np.where(seg_w > 0, seg_w, 1.0), 0.0)
-            sums[:, s - 1] = np.bincount(tree_id, weights=contrib, minlength=b)
+                empty = seg_w <= 0.0  # a parent with no weight adds nothing
+                seg_w[empty] = 1.0
+                seg_x /= seg_w
+                seg_x[empty] = 0.0
+            sums[:, s - 1] = np.bincount(tree_id, weights=seg_x, minlength=b)
             break
-        parent = np.repeat(np.arange(types.size), per_node)
-        if K == 1:
-            child_types = np.zeros(total, dtype=np.int64)
-        else:
-            child_types = np.repeat(np.tile(np.arange(K), types.size), counts.ravel())
+        if K > 1:
+            child_types = np.repeat(np.tile(np.arange(K), per_node.size), counts.ravel())
         if point_weight is not None:
-            if point_weight > 0.0:
-                norm = 1.0 / per_node[parent]
+            scale = 1.0 / np.maximum(per_node, 1) if point_weight > 0.0 else np.zeros(per_node.size)
+            path = np.repeat(path * scale, per_node)
+            tree_id = np.repeat(tree_id, per_node)
+        else:
+            parent = np.repeat(np.arange(per_node.size), per_node)
+            if K == 1:
+                weight = spec.weight_dists[0][0].sample(rng, size=total)
             else:
-                norm = np.zeros(total)
-        else:
-            weight = _draw_edge_weights(spec, types[parent], child_types, rng)
-            totals = np.bincount(parent, weights=weight, minlength=types.size)
-            norm = np.zeros(total)
-            pos = totals[parent] > 0.0
-            norm[pos] = weight[pos] / totals[parent[pos]]
-        path = path[parent] * norm
-        tree_id = tree_id[parent]
-        types = child_types
+                weight = _draw_edge_weights(spec, types[parent], child_types, rng)
+            totals = np.bincount(parent, weights=weight, minlength=per_node.size)
+            totals[totals <= 0.0] = np.inf  # weights are >= 0: such a parent's are all 0
+            weight /= totals[parent]
+            weight *= path[parent]
+            path = weight
+            tree_id = tree_id[parent]
+            del parent
         if K == 1:
-            values = _draw_values(dists[0], value_rng, total)
+            contrib = path * _draw_values(dists[0], value_rng, total)
         else:
-            values = sample_by_label(dists, types, value_rng)
-        sums[:, s - 1] = np.bincount(tree_id, weights=path * values, minlength=b)
+            types = child_types
+            contrib = sample_by_label(dists, types, value_rng)
+            contrib *= path
+        sums[:, s - 1] = np.bincount(tree_id, weights=contrib, minlength=b)
+        del contrib  # before the next generation is drawn
     return sums
 
 

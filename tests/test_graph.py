@@ -162,6 +162,30 @@ def test_geometric_branch_matches_one_shot_draw(monkeypatch, n_rows, n_cols, chu
     assert flat.size > 0 or n_rows * n_cols < 50
     assert np.array_equal(rows, flat // n_cols) and np.array_equal(cols, flat % n_cols)
     assert rng.random() == ref_rng.random()  # the same stream, consumed to the same point
+    # the gaps themselves are rng.geometric's, and leave the stream where it does
+    total = n_rows * n_cols
+    rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
+    gaps = graph._geometric_gaps(rng, p, total, total + 1)
+    assert np.array_equal(gaps, np.minimum(ref_rng.geometric(p, size=total), total + 1))
+    assert gaps.dtype == np.int64 and rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("p", [1e-6, 0.001, 0.0031, 0.0118, 0.2, np.nextafter(DENSE_P, 0)])
+def test_geometric_gaps_match_numpy_geometric(p):
+    rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+    gaps = graph._geometric_gaps(rng, p, 1 << 16, np.iinfo(np.int64).max)
+    assert np.array_equal(gaps, ref_rng.geometric(p, size=1 << 16))
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("p", [1e-19, 1e-300, 5e-324])
+def test_tiny_probability_block_has_no_hits(p):
+    # numpy clamps such gaps to INT64_MAX, which would overflow the position cumsum
+    rng, ref_rng = np.random.default_rng(37), np.random.default_rng(37)
+    rows, cols = _block_pairs(rng, 1000, 1000, p)
+    assert rows.size == 0 and cols.size == 0
+    ref_rng.geometric(p, size=16)  # one batch at its 16-draw floor
+    assert rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 500])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -247,6 +249,38 @@ def test_leaf_chunk_size_leaves_sums_unchanged(name, monkeypatch):
     monkeypatch.setattr(gwtree, "_LEAF_CHUNK", 5)
     chunked = gwtree.generation_sum_samples(spec, 0, q, 3, values, 40, 13, batch_cap=cap)
     assert whole.tobytes() == chunked.tobytes()
+
+
+@pytest.mark.parametrize("name, bound", [
+    # measured 49.3, 65.9 and 51.7 B; 76.7, 111.1 and 69.4 B when every generation
+    # kept its parent index, normalized weights and child types
+    ("k1_point", 52.0),
+    ("k1_uniform", 72.0),
+    ("k2", 56.0),
+])
+def test_tree_batch_peak_bytes_per_node(name, bound):
+    # one batch of depth-3 trees at theta = 8.  With K = 1 the deepest generation is
+    # reduced per parent, so the peak scales with generation 2; with K = 2 it is held
+    # in full, so the peak scales with generation 3
+    if name == "k2":
+        spec = random_spec(4, K=2)
+        q = ol.offspring_means(spec, spec.pi, 8.0)
+        trees, depth_held = 2000, 3
+    else:
+        spec = one_type_spec(weight=Point(1.0) if name == "k1_point" else Uniform(0.2, 1.0))
+        q = np.array([[8.0]])
+        trees, depth_held = 4000, 2
+    values = [dist.components[0] for dist in spec.belief_dists]
+    nodes = trees * float(np.linalg.matrix_power(q, depth_held)[:, 0].sum())
+    assert q.sum(axis=0).max() ** 3 * trees < gwtree._BATCH_NODE_CAP  # one batch
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gwtree.generation_sum_samples(spec, 0, q, 3, values, trees, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / nodes <= bound
 
 
 def test_profile_needs_a_replication():

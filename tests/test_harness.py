@@ -215,6 +215,18 @@ def test_cli_budget_error_exit_code(tmp_path):
     assert main(["tree", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
 
 
+def test_cli_tiny_kernel_entry_runs(tmp_path):
+    # p = 1e-19 * 20 / 2000 off the diagonal: every geometric gap leaves the grid
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(
+        make_config("simulate", "k_max = 3\nseed = 1\nn_grid = 2000\ntheta = const:20")
+        .replace("model.kappa = 2 1 ; 1 2", "model.kappa = 1.5 1e-19 ; 1e-19 1.5")
+        .replace("seed = 5\nn_grid = 120\ntheta = const:10\n", "")
+    )
+    assert main(["validate", "--config", str(cfg_path)]) == EXIT_OK
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
 def test_threads_env_override(monkeypatch):
     from opinionlab.parallel import resolve_threads
 
