@@ -23,8 +23,8 @@ from . import rng as rngmod
 from .rng import substream
 from .config import DEFAULT_VERTEX_SETS, ConfigError, serialize_config, theta_value
 from .distributions import parse_scalar
-from .graph import sample_graph, sample_labels
-from .dynamics import run_graph
+from .graph import normalize_weights, sample_graph, sample_labels
+from .dynamics import simulate
 from .meanfield import build_meanfield_model, mixing_matrix, regime_stats
 from .gwtree import a_s_profile, neighborhood_diagnostic, offspring_means
 from .metrics import (
@@ -316,27 +316,21 @@ def _run_simulate(cfg, out):
     n = cfg.n_grid[0]
     theta = theta_value(cfg.theta_rule, n)
     k_max = _k_max(cfg)
-    record = cfg.record
     rows = []
     for rep in range(cfg.inner_reps):
-        labels = sample_labels(spec, n, (cfg.seed, rep))
-        traj = np.empty((len(record), spec.ell, k_max + 1))
-
-        def observe(state, frame):
-            traj[:, :, state.k] = state.R[record]
-
-        run_graph(spec, labels, theta, k_max, (cfg.seed, rep), observe)
-        for vi, v in enumerate(record):
+        seed = (cfg.seed, rep)
+        graph = sample_graph(spec, sample_labels(spec, n, seed), theta, seed)
+        traj, _ = simulate(spec, graph, normalize_weights(graph), k_max, seed, record=cfg.record)
+        for v, community, values in zip(traj.vertices, traj.communities, traj.values):
             for t in range(k_max + 1):
                 for topic in range(spec.ell):
-                    rows.append((rep, int(v), int(labels[v]), t, topic,
-                                 float(traj[vi, topic, t])))
+                    rows.append((rep, int(v), int(community), t, topic, float(values[topic, t])))
     write_csv(
         out / "trajectories.csv",
         ["replication", "vertex", "community", "time", "topic", "value"],
         rows,
     )
-    return {"n": n, "theta": theta, "k_max": k_max, "recorded": record}, ["trajectories.csv"]
+    return {"n": n, "theta": theta, "k_max": k_max, "recorded": cfg.record}, ["trajectories.csv"]
 
 
 def _run_meanfield(cfg, out):
