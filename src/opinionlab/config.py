@@ -100,7 +100,6 @@ class ExperimentConfig:
     stationary_reps: int = 20000
     eps_grid: list = field(default_factory=lambda: [0.1, 0.2, 0.5])
     count_means: list = field(default_factory=lambda: [50.0])
-    count_law: str = "poisson"
     conc_weight: str = "point:1"
     conc_value: str = "uniform:-1,1"
     record: list = field(default_factory=lambda: [0])
@@ -369,9 +368,6 @@ def parse_config(text):
     for key, vals in (("eps_grid", eps_grid), ("count_means", count_means)):
         if not all(0 < v < math.inf for v in vals):
             problems.append(f"{key}: entries must be finite and positive")
-    count_law = take("count_law", _DEFAULTS["count_law"])
-    if count_law != "poisson":
-        problems.append(f"count_law: only 'poisson' is wired through the config, got {count_law!r}")
 
     cfg = ExperimentConfig(
         kind=kind, seed=seed, out=out, model=model, n_grid=n_grid, theta_rule=theta_rule,
@@ -391,7 +387,6 @@ def parse_config(text):
         stationary_reps=integer("stationary_reps", _DEFAULTS["stationary_reps"], minimum=1),
         eps_grid=eps_grid,
         count_means=count_means,
-        count_law=count_law,
         conc_weight=conc["conc_weight"],
         conc_value=conc["conc_value"],
         record=record,
@@ -425,7 +420,6 @@ def serialize_config(cfg):
         f"stationary_reps = {cfg.stationary_reps}",
         f"eps_grid = {' '.join(repr(e) for e in cfg.eps_grid)}",
         f"count_means = {' '.join(repr(m) for m in cfg.count_means)}",
-        f"count_law = {cfg.count_law}",
         f"conc_weight = {cfg.conc_weight}",
         f"conc_value = {cfg.conc_value}",
         f"record = {' '.join(str(v) for v in cfg.record)}",

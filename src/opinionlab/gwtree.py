@@ -11,21 +11,22 @@ Trees are built level by level under a node budget, since expected
 generation size grows geometrically with depth.  Monte Carlo trees are
 simulated in batches; batch i draws from jumped(i) of the tree and value
 streams, so batches run on worker threads and the output does not
-depend on the thread count.  A batch keeps, between generations, only
-each node's path weight, tree id and (K > 1) type, and with K = 1 it
-reduces the deepest generation per parent, so it peaks at about 49 B
-per second-to-last-generation node with K = 1 and point weights
-(tracemalloc; 66 B with uniform weights) and at about 52 B per
-deepest-generation node with K = 2.
+depend on the thread count.  A batch holds each generation as K type
+groups of path weights and tree ids, draws children one (parent type,
+child type) block at a time and reduces the deepest generation per
+parent, so it peaks at about 48 B per second-to-last-generation node
+with K = 1 and point weights (tracemalloc; 65 B with uniform weights)
+and at about 104 B with K = 2 (mostly one leaf run's draws).
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import rng as rngmod
 from .rng import substream
-from .distributions import Point, Uniform, sample_by_label
+from .distributions import Mixture, Point, Uniform, sample_by_label
 from .parallel import parallel_map
 
 NODE_BUDGET = 1_000_000
@@ -275,108 +276,113 @@ def _segment_sums(values, starts, nz):
     return out
 
 
-def _leaf_segment_sums(spec, dist, per_node, rng, value_rng, point_weight):
-    """Per-parent sums of fresh leaf values (point weights) or of weight *
-    value and of weight (other weights), drawn in runs of whole parents
-    of about _LEAF_CHUNK values.  Each segment is summed alone, and a law
-    that draws value by value (any but a Mixture, which draws all its
-    component indices first) consumes its stream as one draw would, so
-    the chunk size does not change the sums."""
-    seg_x = np.zeros(per_node.size)
-    seg_w = None if point_weight is not None else np.zeros(per_node.size)
-    ends = np.cumsum(per_node)
+def _leaf_segment_sums(weight_dist, dist, counts, rng, value_rng, seg_x, seg_w):
+    """Add one (parent type, child type) block of fresh leaves into the
+    per-parent sums seg_x (values with point weights, where seg_w is
+    None; else weight * value) and seg_w (weights).  counts holds each
+    parent's children in the block.  Runs of whole parents of about
+    _LEAF_CHUNK values are drawn and each segment is summed alone, so a
+    law that draws value by value gives the same sums at any run size; a
+    Mixture draws all its component indices first, so its block is one run."""
+    run = np.inf if isinstance(dist, Mixture) or isinstance(weight_dist, Mixture) else _LEAF_CHUNK
+    ends = np.cumsum(counts)
     lo = 0
-    while lo < per_node.size:
+    while lo < counts.size:
         base = int(ends[lo - 1]) if lo else 0
-        hi = max(int(np.searchsorted(ends, base + _LEAF_CHUNK, side="right")), lo + 1)
+        hi = max(int(np.searchsorted(ends, base + run, side="right")), lo + 1)
         size = int(ends[hi - 1]) - base
-        counts = per_node[lo:hi]
-        nz = counts > 0
-        starts = (ends[lo:hi] - counts - base)[nz]
+        nz = counts[lo:hi] > 0
+        starts = (ends[lo:hi] - counts[lo:hi] - base)[nz]
         values = _draw_values(dist, value_rng, size)
         if seg_w is None:
-            seg_x[lo:hi] = _segment_sums(values, starts, nz)
+            seg_x[lo:hi] += _segment_sums(values, starts, nz)
         else:
-            weight = spec.weight_dists[0][0].sample(rng, size=size)
-            seg_w[lo:hi] = _segment_sums(weight, starts, nz)
+            weight = weight_dist.sample(rng, size=size)
+            seg_w[lo:hi] += _segment_sums(weight, starts, nz)
             weight *= values
-            seg_x[lo:hi] = _segment_sums(weight, starts, nz)
+            seg_x[lo:hi] += _segment_sums(weight, starts, nz)
             del weight
         del values  # before the next run's draws
         lo = hi
-    return seg_x, seg_w
+
+
+def _join(pieces):
+    # a single piece is kept as it is, not copied
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def _batch_sums(spec, root_type, q, s_max, dists, b, rng, value_rng, point_weight, cap):
     """Generation sums of b trees, one generation at a time.
 
-    A generation keeps only what the next one reads: each node's path
-    weight and tree id, and its type when K > 1 (with K = 1 every node
-    and edge has type 0).  Parent indices, edge weights and values are
-    dropped once used, and the deepest K = 1 generation is reduced per
-    parent with no child arrays.  Point weights need no parent index at
-    all: a child's normalized weight is 1 / its parent's child count, so
-    path weights and tree ids are repeated from the parents.
+    A generation is K type groups, each holding only its nodes' tree ids
+    and path weights.  Children are drawn one (parent type r, child type
+    t) block at a time: Poisson(q[t, r]) counts for every block, then
+    each block's edge weights, normalized by per-parent totals over t,
+    then each new group's values.  Parent indices, weights and values
+    are dropped once used, and the deepest generation is reduced per
+    parent, block by block.  Point weights need no parent index: a
+    child's normalized weight is 1 / its parent's child count, so path
+    weights and tree ids are repeated from the parents.
     """
     K = spec.K
-    types = np.full(b, root_type, dtype=np.int64) if K > 1 else None
-    tree_id = np.arange(b)
-    path = np.ones(b)
+    groups = [(np.empty(0, np.int64), np.empty(0)) for _ in range(K)]
+    groups[root_type] = (np.arange(b), np.ones(b))
     sums = np.zeros((b, s_max))
     for s in range(1, s_max + 1):
-        if K == 1:
-            per_node = rng.poisson(q[0, 0], size=path.size)
-        else:
-            counts = rng.poisson(q[:, types].T)
-            per_node = counts.sum(axis=1)
-        total = int(per_node.sum())
+        counts = [[rng.poisson(q[t, r], size=ids.size) for t in range(K)]
+                  for r, (ids, _) in enumerate(groups)]
+        total = sum(int(block.sum()) for row in counts for block in row)
         if total > 4 * cap:
             raise TreeBudgetError(total, 4 * cap)
         if total == 0:
             break
-        if s == s_max and K == 1:
+        if s == s_max:
             # deepest generation: per-parent reductions, no child arrays
             if point_weight is not None and point_weight <= 0.0:
                 break
-            seg_x, seg_w = _leaf_segment_sums(spec, dists[0], per_node, rng, value_rng,
-                                              point_weight)
-            seg_x *= path
-            if seg_w is None:
-                seg_x /= np.maximum(per_node, 1)
-            else:
-                empty = seg_w <= 0.0  # a parent with no weight adds nothing
-                seg_w[empty] = 1.0
-                seg_x /= seg_w
-                seg_x[empty] = 0.0
-            sums[:, s - 1] = np.bincount(tree_id, weights=seg_x, minlength=b)
+            for r, (ids, path) in enumerate(groups):
+                seg_x = np.zeros(ids.size)
+                seg_w = None if point_weight is not None else np.zeros(ids.size)
+                for wdist, dist, block in zip(spec.weight_dists[r], dists, counts[r]):
+                    _leaf_segment_sums(wdist, dist, block, rng, value_rng, seg_x, seg_w)
+                seg_x *= path
+                if seg_w is None:
+                    seg_x /= np.maximum(reduce(np.add, counts[r]), 1)
+                else:
+                    empty = seg_w <= 0.0  # a parent with no weight adds nothing
+                    seg_w[empty] = 1.0
+                    seg_x /= seg_w
+                    seg_x[empty] = 0.0
+                sums[:, s - 1] += np.bincount(ids, weights=seg_x, minlength=b)
             break
-        if K > 1:
-            child_types = np.repeat(np.tile(np.arange(K), per_node.size), counts.ravel())
-        if point_weight is not None:
-            scale = 1.0 / np.maximum(per_node, 1) if point_weight > 0.0 else np.zeros(per_node.size)
-            path = np.repeat(path * scale, per_node)
-            tree_id = np.repeat(tree_id, per_node)
-        else:
-            parent = np.repeat(np.arange(per_node.size), per_node)
-            if K == 1:
-                weight = spec.weight_dists[0][0].sample(rng, size=total)
-            else:
-                weight = _draw_edge_weights(spec, types[parent], child_types, rng)
-            totals = np.bincount(parent, weights=weight, minlength=per_node.size)
+        pieces = [([], []) for _ in range(K)]  # per child type: tree-id and path pieces
+        for r, (ids, path) in enumerate(groups):
+            if point_weight is not None:
+                scaled = (path * (1.0 / np.maximum(reduce(np.add, counts[r]), 1))
+                          if point_weight > 0.0 else np.zeros(ids.size))
+                for t, block in enumerate(counts[r]):
+                    pieces[t][1].append(np.repeat(scaled, block))
+                    pieces[t][0].append(np.repeat(ids, block))
+                continue
+            parents = [np.repeat(np.arange(ids.size), block) for block in counts[r]]
+            weights = [spec.weight_dists[r][t].sample(rng, size=parent.size)
+                       for t, parent in enumerate(parents)]
+            totals = np.zeros(ids.size)
+            for parent, weight in zip(parents, weights):
+                totals += np.bincount(parent, weights=weight, minlength=ids.size)
             totals[totals <= 0.0] = np.inf  # weights are >= 0: such a parent's are all 0
-            weight /= totals[parent]
-            weight *= path[parent]
-            path = weight
-            tree_id = tree_id[parent]
-            del parent
-        if K == 1:
-            contrib = path * _draw_values(dists[0], value_rng, total)
-        else:
-            types = child_types
-            contrib = sample_by_label(dists, types, value_rng)
-            contrib *= path
-        sums[:, s - 1] = np.bincount(tree_id, weights=contrib, minlength=b)
-        del contrib  # before the next generation is drawn
+            for t, (parent, weight) in enumerate(zip(parents, weights)):
+                weight /= totals[parent]
+                weight *= path[parent]
+                pieces[t][1].append(weight)
+                pieces[t][0].append(ids[parent])
+            del parents, weights, parent, weight  # before the values are drawn
+        groups = [(_join(ids), _join(path)) for ids, path in pieces]
+        del pieces  # the copied pieces of a joined group
+        for t, (ids, path) in enumerate(groups):
+            contrib = path * _draw_values(dists[t], value_rng, ids.size)
+            sums[:, s - 1] += np.bincount(ids, weights=contrib, minlength=b)
+            del contrib  # before the next draws
     return sums
 
 

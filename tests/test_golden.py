@@ -76,9 +76,9 @@ DIGESTS = {
         "summary.json": "06438c1f44f062fced56cf2752de41f6c158e996de84c106c48c55f624453926",
     },
     "tree": {
-        "summary.json": "22ff0d9b0f2d04025897045867850faeb2650ade73d7e0b6528a99efbaf7a55e",
+        "summary.json": "d2f32d98f08202f8ac4c0c5b548c00edc3388ba4711a6e197c1a2578b051a52a",
         "tree_diagnostic.csv": "a88019d078c15a9a7aa54f78e12b1d822fc90600bbc185d7d20ee765e750b13c",
-        "tree_scaling.csv": "d075f24af63aca30232352c3de54cf216bb725061fb4426ba31e9618611d8c8e",
+        "tree_scaling.csv": "72061f29b09f4d3f5bcfef25e3698b2dc5cf615e1c8b440ccaebca1cde5f0ed6",
     },
 }
 

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -6,18 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 import opinionlab as ol
 from opinionlab import gwtree
-from opinionlab.distributions import Point, Uniform, VectorDist
+from opinionlab.distributions import Mixture, Point, Uniform, VectorDist, sample_by_label
 from opinionlab.gwtree import GWTree, TreeBudgetError, TreeLevel, _empty_level
 from opinionlab.model import ModelSpec
 
 from conftest import random_spec
 
 
-def one_type_spec(weight=Point(1.0)):
+def one_type_spec(weight=Point(1.0), belief=Uniform(-1, 1)):
     return ModelSpec(
         K=1, ell=1, pi=[1.0], kappa=[[1.0]], c=0.3, d=0.2, H=1.0,
         weight_dists=[[weight]],
-        belief_dists=[VectorDist((Uniform(-1, 1),))],
+        belief_dists=[VectorDist((belief,))],
         signal_dists=[VectorDist((Uniform(-0.5, 0.5),))],
     )
 
@@ -204,6 +205,23 @@ def test_general_weights_match_point_mass_shortcut_in_distribution():
     assert abs(e1 - e2) < 5 * np.hypot(s1, s2) + 5e-3
 
 
+def test_k2_batch_sums_match_materialized_trees_in_distribution():
+    # the block-wise batch kernel against sample_tree with per-node values
+    spec = random_spec(4, K=2)  # Mixture, beta and point weights
+    q = ol.offspring_means(spec, spec.pi, 3.0)
+    values = [dist.components[0] for dist in spec.belief_dists]
+    batch = gwtree.generation_sum_samples(spec, 1, q, 2, values, 4000, 19)
+    rng = np.random.default_rng(23)
+    direct = np.empty((1500, 2))
+    for i in range(1500):
+        tree = ol.sample_tree(spec, 1, q, 2, rng)
+        for s in (1, 2):
+            node_vals = sample_by_label(values, tree.levels[s].types, rng)
+            direct[i, s - 1] = ol.weighted_generation_sum(tree, s, node_vals)
+    se = np.hypot(batch.std(0, ddof=1) / np.sqrt(4000), direct.std(0, ddof=1) / np.sqrt(1500))
+    assert np.all(np.abs(batch.mean(0) - direct.mean(0)) < 4 * se)
+
+
 def batched_case(name):
     """(spec, q, values, batch_cap, batch) with batch_cap small enough that
     40 trees of depth 3 take five batches of `batch` trees."""
@@ -211,6 +229,10 @@ def batched_case(name):
         spec, q = one_type_spec(), np.array([[6.0]])
     elif name == "k1_uniform":
         spec, q = one_type_spec(weight=Uniform(0.0, 1.0)), np.array([[2.5]])
+    elif name == "k1_mix":
+        spec = one_type_spec(weight=Mixture((0.25, 0.75), (Point(0.0), Uniform(0.2, 1.0))),
+                             belief=Mixture((0.5, 0.5), (Uniform(-1.0, 0.0), Point(0.5))))
+        q = np.array([[4.0]])
     else:
         spec = random_spec(4, K=2)
         q = ol.offspring_means(spec, spec.pi, 4.0)
@@ -219,7 +241,13 @@ def batched_case(name):
     return spec, q, values, 8 * leaf, 8
 
 
-BATCHED = ["k1_point", "k1_uniform", "k2"]
+BATCHED = ["k1_point", "k1_uniform", "k1_mix", "k2"]
+
+# sha256 of the 40 x 3 sums of seed 11 below; the K = 1 output bytes are pinned
+K1_DIGESTS = {
+    "k1_point": "de14f2c6aebae8b6ae64f4231152c1011826ce0a1d4a8e6f1312e055ad609f5b",
+    "k1_uniform": "e142653a5eb84ac37bb356b0deb6e756bfc0e6888aa4c08a9b0c3f387ae60d04",
+}
 
 
 @pytest.mark.parametrize("name", BATCHED)
@@ -230,6 +258,8 @@ def test_generation_sums_same_bytes_at_any_thread_count(name):
                                         threads=2)
     assert one.shape == (40, 3)
     assert one.tobytes() == two.tobytes()
+    if name in K1_DIGESTS:
+        assert hashlib.sha256(one.tobytes()).hexdigest() == K1_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", BATCHED)
@@ -252,26 +282,25 @@ def test_leaf_chunk_size_leaves_sums_unchanged(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name, bound", [
-    # measured 49.3, 65.9 and 51.7 B; 76.7, 111.1 and 69.4 B when every generation
-    # kept its parent index, normalized weights and child types
+    # measured 48.2, 64.9 and 103.8 B.  Most of k2's is one leaf run's beta draws
+    # (2^18 values), since its generation 2 is small (about 97 000 nodes)
     ("k1_point", 52.0),
     ("k1_uniform", 72.0),
-    ("k2", 56.0),
+    ("k2", 110.0),
 ])
 def test_tree_batch_peak_bytes_per_node(name, bound):
-    # one batch of depth-3 trees at theta = 8.  With K = 1 the deepest generation is
-    # reduced per parent, so the peak scales with generation 2; with K = 2 it is held
-    # in full, so the peak scales with generation 3
+    # one batch of depth-3 trees at theta = 8.  The deepest generation is reduced per
+    # parent, so the peak scales with generation 2, the second-to-last
     if name == "k2":
         spec = random_spec(4, K=2)
         q = ol.offspring_means(spec, spec.pi, 8.0)
-        trees, depth_held = 2000, 3
+        trees = 2000
     else:
         spec = one_type_spec(weight=Point(1.0) if name == "k1_point" else Uniform(0.2, 1.0))
         q = np.array([[8.0]])
-        trees, depth_held = 4000, 2
+        trees = 4000
     values = [dist.components[0] for dist in spec.belief_dists]
-    nodes = trees * float(np.linalg.matrix_power(q, depth_held)[:, 0].sum())
+    nodes = trees * float(np.linalg.matrix_power(q, 2)[:, 0].sum())
     assert q.sum(axis=0).max() ** 3 * trees < gwtree._BATCH_NODE_CAP  # one batch
     tracemalloc.start()
     try:
