@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 
 from .model import ModelSpec, SpecError
 from .graph import (
-    GraphSample, InfluenceMatrix, empirical_shares, normalize_weights,
-    read_graph, sample_graph, sample_labels, write_graph,
+    GraphSample, InfluenceMatrix, empirical_shares, normalize_weights, sample_graph,
+    sample_labels,
 )
 from .dynamics import (
     OpinionState, SignalFrame, TrajectoryRecord, closed_form_state, hop_weight,
@@ -17,10 +17,10 @@ from .meanfield import (
     MeanFieldModel, RegimeStats, StationarySampler, build_meanfield_model,
     deterministic_profile, expand_rows, intermediate_trajectory,
     meanfield_trajectory, mixing_matrix, no_inbound_prob, regime_stats,
-    sample_stationary, share_mismatch, stationary_horizon, vertex_mixing_matrix,
+    share_mismatch, stationary_horizon, vertex_mixing_matrix,
 )
 from .gwtree import (
-    GWTree, NeighborhoodDiagnostic, TreeBudgetError, a_s_profile, estimate_a_s,
+    GWTree, NeighborhoodDiagnostic, TreeBudgetError, a_s_profile,
     neighborhood_diagnostic, offspring_means, path_weight_sum, sample_tree,
     weighted_generation_sum,
 )

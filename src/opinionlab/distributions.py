@@ -13,6 +13,15 @@ token used by the config format::
 
 Vector-valued distributions (beliefs, signals) are products of
 independent scalar components, written as space-separated tokens.
+
+Stream contract: for every law, ``sample(rng, n + m)`` returns the
+values of ``sample(rng, n)`` followed by those of ``sample(rng, m)``,
+and ``sample(rng)`` returns one float.  So a caller may draw any count
+in runs of any size and get the same bytes.  A point draws nothing;
+uniform and beta laws draw value by value through numpy.  A mixture
+spends one uniform u per value: the cumulative-weight interval u falls
+in picks the component, and u's position inside that interval goes
+through the component's ``quantile``.
 """
 
 from dataclasses import dataclass
@@ -39,6 +48,9 @@ class Point:
             return self.value
         return np.full(size, self.value, dtype=float)
 
+    def quantile(self, u):
+        return np.full(np.shape(u), self.value, dtype=float)
+
     def support(self):
         return (self.value, self.value)
 
@@ -60,6 +72,11 @@ class Uniform:
 
     def sample(self, rng, size=None):
         return rng.uniform(self.lo, self.hi, size=size)
+
+    def quantile(self, u):
+        out = (self.hi - self.lo) * np.asarray(u)
+        out += self.lo
+        return out
 
     def support(self):
         return (self.lo, self.hi)
@@ -86,6 +103,14 @@ class ScaledBeta:
 
     def sample(self, rng, size=None):
         return self.lo + (self.hi - self.lo) * rng.beta(self.a, self.b, size=size)
+
+    def quantile(self, u):
+        # imported here: scipy.special adds about 4 MB to every run that loads it
+        from scipy.special import betaincinv
+        out = betaincinv(self.a, self.b, u)
+        out *= self.hi - self.lo
+        out += self.lo
+        return out
 
     def support(self):
         return (self.lo, self.hi)
@@ -119,18 +144,21 @@ class Mixture:
         return sum(w * comp.second_moment() for w, comp in zip(self.weights, self.components))
 
     def sample(self, rng, size=None):
-        if size is None:
-            idx = rng.choice(len(self.components), p=self.weights)
-            return self.components[idx].sample(rng)
-        idx = rng.choice(len(self.components), size=size, p=self.weights)
-        out = np.empty(np.prod(size) if not np.isscalar(size) else size, dtype=float)
-        flat_idx = np.asarray(idx).ravel()
-        for j, comp in enumerate(self.components):
-            mask = flat_idx == j
-            cnt = int(mask.sum())
-            if cnt:
-                out[mask] = comp.sample(rng, size=cnt)
-        return out.reshape(np.shape(idx))
+        u = np.asarray(rng.random(size))  # turned into the values in place
+        edges = np.cumsum(self.weights)
+        edges /= edges[-1]  # the last edge is 1 > u
+        which = np.zeros(u.shape, np.min_scalar_type(len(self.components)))
+        for edge in edges[:-1]:
+            which += u >= edge
+        lo = 0.0
+        for j, (comp, hi) in enumerate(zip(self.components, edges)):
+            hit = which == j
+            pos = u[hit]
+            pos -= lo
+            pos /= hi - lo
+            u[hit] = comp.quantile(pos)
+            lo = hi
+        return float(u) if size is None else u
 
     def support(self):
         lows, highs = zip(*(comp.support() for comp in self.components))

@@ -17,12 +17,14 @@ weights over their row totals, so graph plus C hold 12 bytes per edge.
 
 Every pass over cells, draws or edges works on pieces of about CHUNK
 (row-aligned runs from ``_row_runs``, or sub-draws of one geometric
-batch), so no temporary grows with the edge count.  Building the graph
-and C peaks at about 21 B per edge above what was allocated before
-(tracemalloc; two equal communities at n = 2e5, 7.4 M edges: placing a
-block holds the runs' sources, the final arrays and that block's weight
-draws) and about 13 B per edge with one community (n = 2e5 geometric,
-or n = 2000 Bernoulli).
+batch), so no temporary grows with the edge count.  Weights are drawn
+per row run too; every law's stream continues across calls, so the
+bytes do not depend on CHUNK.  Building the graph and C peaks at about
+17 B per edge above what was allocated before (tracemalloc, n = 2e5:
+17.3 at equal shares, 7.4 M edges, and 17.2 at shares 0.95/0.05,
+10.4 M edges; placing holds the final arrays and the int32 sources of
+the runs not yet placed) and about 13 B per edge with one community
+(n = 2e5 geometric, or n = 2000 Bernoulli).
 """
 
 import math
@@ -271,7 +273,9 @@ def sample_graph(spec, labels, theta, seed):
     indptr = np.concatenate(([0], np.cumsum(degree))).astype(np.int32 if m < 2**31 else np.int64)
     if spec.K == 1:  # the one run is in CSR order already
         sources = runs[0][0][1]
-        weights = spec.weight_dists[0][0].sample(weight_rng, size=m)
+        weights = np.empty(m)
+        for _, _, a, b in _row_runs(indptr):
+            weights[a:b] = spec.weight_dists[0][0].sample(weight_rng, size=b - a)
     else:
         sources = np.empty(m, dtype=np.int32)
         weights = np.empty(m)
@@ -293,17 +297,18 @@ def _place_community(blocks, weight_dists, weight_rng, tgt_idx, indptr, sources,
     Within a row, source block s follows block s - 1.  A run lists its
     edges by listener already, so an edge's slot is its listener's next
     free slot plus its rank among that listener's edges in the run.
+    Each row run's weights are drawn as it is placed, in edge order, so
+    placing holds no weight array besides the graph's own: its peak is
+    the final arrays plus the int32 sources of the runs not yet placed,
+    about 17 B per edge at any shares.
     """
     fill = indptr[tgt_idx]  # each local listener's next free slot
     for (counts, src), dist in zip(blocks, weight_dists):
-        # one draw per block, so a mix: law's bytes do not depend on CHUNK;
-        # an empty block draws nothing from the weight stream
-        draws = dist.sample(weight_rng, size=src.size)
         starts = np.concatenate(([0], np.cumsum(counts)))
         for r0, r1, a, b in _row_runs(starts):
             slot = np.repeat(fill[r0:r1] - starts[r0:r1], counts[r0:r1]) + np.arange(a, b)
             sources[slot] = src[a:b]
-            weights[slot] = draws[a:b]
+            weights[slot] = dist.sample(weight_rng, size=b - a)
         fill += counts
     blocks.clear()
 
@@ -322,43 +327,3 @@ def normalize_weights(graph):
     B = sp.csr_matrix((graph.weights, graph.sources, graph.indptr), shape=(n, n))
     return InfluenceMatrix(matrix=B, zero_rows=zero_rows, divisor=divisor)
 
-
-def write_graph(graph, path):
-    """Text dump: header ``n K``, one vertex line ``i J_i q_1 ... q_ell``
-    per vertex, then one edge line ``i j B_ij`` per stored in-edge."""
-    K = graph.pi_hat.size
-    rows = np.repeat(np.arange(graph.n), graph.in_degrees())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{graph.n} {K}\n")
-        for i in range(graph.n):
-            comps = " ".join(repr(float(v)) for v in graph.beliefs[i])
-            fh.write(f"{i} {graph.labels[i]} {comps}\n")
-        for i, j, w in zip(rows, graph.sources, graph.weights):
-            fh.write(f"{i} {j} {repr(float(w))}\n")
-
-
-def read_graph(path):
-    """Inverse of write_graph; returns (labels, beliefs, edges) with
-    edges as an (m, 2) int array of (listener, source) plus weights."""
-    with open(path, encoding="utf-8") as fh:
-        n, K = (int(tok) for tok in fh.readline().split())
-        labels = np.empty(n, dtype=np.int64)
-        beliefs = None
-        for _ in range(n):
-            parts = fh.readline().split()
-            i = int(parts[0])
-            labels[i] = int(parts[1])
-            vals = [float(v) for v in parts[2:]]
-            if beliefs is None:
-                beliefs = np.empty((n, len(vals)), dtype=float)
-            beliefs[i] = vals
-        tgt, src, wts = [], [], []
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            tgt.append(int(parts[0]))
-            src.append(int(parts[1]))
-            wts.append(float(parts[2]))
-    edges = np.column_stack([tgt, src]).astype(np.int64) if tgt else np.empty((0, 2), np.int64)
-    return labels, beliefs, edges, np.asarray(wts, dtype=float), K

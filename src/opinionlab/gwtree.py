@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .rng import substream
-from .distributions import Mixture, Point, Uniform, sample_by_label
+from .distributions import Point, Uniform, sample_by_label
 from .parallel import parallel_map
 
 NODE_BUDGET = 1_000_000
@@ -281,15 +281,14 @@ def _leaf_segment_sums(weight_dist, dist, counts, rng, value_rng, seg_x, seg_w):
     per-parent sums seg_x (values with point weights, where seg_w is
     None; else weight * value) and seg_w (weights).  counts holds each
     parent's children in the block.  Runs of whole parents of about
-    _LEAF_CHUNK values are drawn and each segment is summed alone, so a
-    law that draws value by value gives the same sums at any run size; a
-    Mixture draws all its component indices first, so its block is one run."""
-    run = np.inf if isinstance(dist, Mixture) or isinstance(weight_dist, Mixture) else _LEAF_CHUNK
+    _LEAF_CHUNK values are drawn and each segment is summed alone; every
+    law's stream continues across runs, so the sums do not depend on the
+    run size."""
     ends = np.cumsum(counts)
     lo = 0
     while lo < counts.size:
         base = int(ends[lo - 1]) if lo else 0
-        hi = max(int(np.searchsorted(ends, base + run, side="right")), lo + 1)
+        hi = max(int(np.searchsorted(ends, base + _LEAF_CHUNK, side="right")), lo + 1)
         size = int(ends[hi - 1]) - base
         nz = counts[lo:hi] > 0
         starts = (ends[lo:hi] - counts[lo:hi] - base)[nz]
@@ -384,15 +383,6 @@ def _batch_sums(spec, root_type, q, s_max, dists, b, rng, value_rng, point_weigh
             sums[:, s - 1] += np.bincount(ids, weights=contrib, minlength=b)
             del contrib  # before the next draws
     return sums
-
-
-def estimate_a_s(spec, root_type, s, value_dists, q, mixing_emp, replications, seed,
-                 node_budget=NODE_BUDGET):
-    """Monte Carlo mean absolute deviation of the generation-s weighted
-    sum from its community-matrix prediction, with standard error."""
-    ests, ses = a_s_profile(spec, root_type, s, value_dists, q, mixing_emp, replications, seed,
-                            node_budget=node_budget)
-    return float(ests[s - 1]), float(ses[s - 1])
 
 
 def a_s_profile(spec, root_type, s_max, value_dists, q, mixing_emp, replications, seed,

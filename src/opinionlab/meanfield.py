@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng as rngmod
-from .rng import substream
 from .dynamics import ExplicitProcess, hop_weight_table
 
 _DENSE_ORACLE_MAX_N = 4000
@@ -254,8 +252,8 @@ class StationarySampler:
     against the decay vector at once, so its working memory is a few
     runs whatever the draw count and horizon.  Topic j's values come
     from one continued stream, in the order a single size * (T+1) draw
-    would give them, so chunking changes no byte for the point, uniform
-    and beta laws; a mix: law draws its component indices per chunk.
+    would give them, and every law keeps its stream across calls, so
+    chunking changes no byte.
     """
 
     def __init__(self, spec, model, tol):
@@ -315,9 +313,3 @@ def limit_signal_block(spec, community, q, flag, topic, steps, rng):
         z = (1.0 - spec.signal_belief_weight) * z + spec.signal_belief_weight * q_topic
     return spec.d * z + spec.c * (q_topic * flag[:, None])
 
-
-def sample_stationary(spec, model, community, tol, seed, size=1):
-    """Convenience wrapper over StationarySampler."""
-    sampler = StationarySampler(spec, model, tol)
-    rng = seed if isinstance(seed, np.random.Generator) else substream(seed, rngmod.STATIONARY)
-    return sampler.sample(community, rng, size=size)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+
+import opinionlab
 
 from opinionlab.distributions import (
     DistributionError, Mixture, Point, ScaledBeta, Uniform, VectorDist,
@@ -64,6 +70,43 @@ def test_sample_by_label_draws_label_by_label():
     assert np.array_equal(out[[0, 2, 3]], dists[1].sample(ref_rng, size=3))
     assert rng.random() == ref_rng.random()  # an absent label draws nothing
     assert sample_by_label(dists[:2], np.zeros(0, np.int64), rng).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["point:0.5", "uniform:-1,1", "beta:2,3", "beta:2,3,-1,1",
+     "mix:0.2*point:0.1+0.5*uniform:-1,0.5+0.3*beta:2,3,-1,1"],
+)
+def test_draws_do_not_depend_on_call_size(token):
+    # the stream contract: sample(rng, n + m) is sample(rng, n) then sample(rng, m)
+    dist = parse_scalar(token)
+    whole = dist.sample(np.random.default_rng(5), size=1000)
+    rng = np.random.default_rng(5)
+    parts = np.concatenate([dist.sample(rng, size=300), dist.sample(rng, size=700)])
+    assert whole.tobytes() == parts.tobytes()
+    one = dist.sample(np.random.default_rng(5))
+    assert type(one) is float and one == whole[0]
+
+
+def test_mixture_maps_each_uniform_through_its_component():
+    # u < 0.25 picks the point, the empty interval of weight 0 is never hit, and
+    # u >= 0.25 is rescaled into the uniform's quantile
+    d = Mixture((0.25, 0.0, 0.75), (Point(2.0), Point(9.0), Uniform(-1.0, 1.0)))
+    u = np.random.default_rng(6).random(10_000)
+    want = np.where(u < 0.25, 2.0, -1.0 + 2.0 * (u - 0.25) / 0.75)
+    assert np.allclose(d.sample(np.random.default_rng(6), size=10_000), want, rtol=0, atol=1e-12)
+    beta = ScaledBeta(2.0, 3.0, -1.0, 1.0)
+    assert beta.quantile(0.5) == pytest.approx(float(np.median(
+        beta.sample(np.random.default_rng(0), size=200_000))), abs=0.01)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # betaincinv is imported on first use; loading scipy.special costs every run about 4 MB
+    code = "import sys, opinionlab; print('scipy.special' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(opinionlab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(

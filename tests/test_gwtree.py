@@ -157,8 +157,8 @@ def test_estimate_a_s_zero_row_community():
     q = ol.offspring_means(spec, spec.pi, 3.0)
     beta = spec.weight_mean_matrix()
     Mb = ol.mixing_matrix(spec.pi, spec.kappa, beta)
-    est, se = ol.estimate_a_s(spec, 0, 1, np.array([0.5, -0.5]), q, Mb, 200, 3)
-    assert est == 0.0
+    ests, _ = ol.a_s_profile(spec, 0, 1, np.array([0.5, -0.5]), q, Mb, 200, 3)
+    assert ests[0] == 0.0
 
 
 def test_estimate_a_s_constant_values_reduce_to_mass_deficit():
@@ -167,7 +167,7 @@ def test_estimate_a_s_constant_values_reduce_to_mass_deficit():
     spec = one_type_spec()
     q = np.array([[6.0]])
     w, trees = 0.8, 100_000
-    est, _ = ol.estimate_a_s(spec, 0, 1, np.array([w]), q, np.array([[1.0]]), trees, 5)
+    (est,), _ = ol.a_s_profile(spec, 0, 1, np.array([w]), q, np.array([[1.0]]), trees, 5)
     p = np.exp(-6.0)  # no-offspring probability ~ 0.0025
     assert abs(est - w * p) <= 4 * w * np.sqrt(p * (1 - p) / trees)  # about +-25%
 
@@ -176,10 +176,10 @@ def test_estimate_a_s_theta_scaling():
     spec = one_type_spec()
     ests = []
     for theta in (8.0, 32.0):
-        est, se = ol.estimate_a_s(
+        est, _ = ol.a_s_profile(
             spec, 0, 1, [Uniform(-1, 1)], np.array([[theta]]), np.array([[1.0]]), 4000, 17
         )
-        ests.append(est)
+        ests.append(est[0])
     ratio = ests[1] / ests[0]
     assert 0.4 < ratio < 0.62  # expect ~ 1/2 under the theta^(-1/2) law
 
@@ -191,7 +191,7 @@ def test_profile_matches_single_level_estimates():
     assert ests.shape == (3,)
     assert np.all(ests > 0)
     assert np.all(np.diff(ests) < 0)  # noise averages shrink with depth at fixed theta
-    est1, se1 = ol.estimate_a_s(spec, 0, 1, [Uniform(-1, 1)], q, np.array([[1.0]]), 3000, 29)
+    (est1,), (se1,) = ol.a_s_profile(spec, 0, 1, [Uniform(-1, 1)], q, np.array([[1.0]]), 3000, 29)
     assert abs(ests[0] - est1) < 4 * np.hypot(ses[0], se1)
 
 
@@ -200,9 +200,9 @@ def test_general_weights_match_point_mass_shortcut_in_distribution():
     spec_point = one_type_spec(weight=Point(0.7))
     spec_unif = one_type_spec(weight=Uniform(0.69, 0.71))
     q = np.array([[10.0]])
-    e1, s1 = ol.estimate_a_s(spec_point, 0, 2, [Uniform(-1, 1)], q, np.array([[1.0]]), 4000, 31)
-    e2, s2 = ol.estimate_a_s(spec_unif, 0, 2, [Uniform(-1, 1)], q, np.array([[1.0]]), 4000, 37)
-    assert abs(e1 - e2) < 5 * np.hypot(s1, s2) + 5e-3
+    e1, s1 = ol.a_s_profile(spec_point, 0, 2, [Uniform(-1, 1)], q, np.array([[1.0]]), 4000, 31)
+    e2, s2 = ol.a_s_profile(spec_unif, 0, 2, [Uniform(-1, 1)], q, np.array([[1.0]]), 4000, 37)
+    assert abs(e1[1] - e2[1]) < 5 * np.hypot(s1[1], s2[1]) + 5e-3
 
 
 def test_k2_batch_sums_match_materialized_trees_in_distribution():
@@ -282,10 +282,11 @@ def test_leaf_chunk_size_leaves_sums_unchanged(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name, bound", [
-    # measured 48.2, 64.9 and 103.8 B.  Most of k2's is one leaf run's beta draws
-    # (2^18 values), since its generation 2 is small (about 97 000 nodes)
+    # measured 48.2, 64.9, 81.3 and 103.8 B.  Most of k1_mix's and k2's is one leaf
+    # run's draws (2^18 values), since generation 2 is small (64 000 and about 97 000 nodes)
     ("k1_point", 52.0),
     ("k1_uniform", 72.0),
+    ("k1_mix", 88.0),
     ("k2", 110.0),
 ])
 def test_tree_batch_peak_bytes_per_node(name, bound):
@@ -296,12 +297,18 @@ def test_tree_batch_peak_bytes_per_node(name, bound):
         q = ol.offspring_means(spec, spec.pi, 8.0)
         trees = 2000
     else:
-        spec = one_type_spec(weight=Point(1.0) if name == "k1_point" else Uniform(0.2, 1.0))
+        if name == "k1_mix":
+            spec = batched_case(name)[0]  # Mixture weight and value laws
+        else:
+            spec = one_type_spec(weight=Point(1.0) if name == "k1_point" else Uniform(0.2, 1.0))
         q = np.array([[8.0]])
         trees = 4000
     values = [dist.components[0] for dist in spec.belief_dists]
     nodes = trees * float(np.linalg.matrix_power(q, 2)[:, 0].sum())
     assert q.sum(axis=0).max() ** 3 * trees < gwtree._BATCH_NODE_CAP  # one batch
+    # a one-tree call first loads what the laws import on first use (a beta
+    # component's quantile loads scipy.special, about 1.9 MB), which is not per node
+    gwtree.generation_sum_samples(spec, 0, q, 3, values, 1, 5)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

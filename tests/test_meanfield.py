@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import opinionlab as ol
 from opinionlab import meanfield
-from opinionlab.distributions import Point, ScaledBeta, Uniform, VectorDist
+from opinionlab.distributions import Mixture, Point, ScaledBeta, Uniform, VectorDist
 from opinionlab.meanfield import (
     build_meanfield_model, deterministic_profile, expand_rows,
     intermediate_trajectory, meanfield_trajectory, mixing_matrix,
@@ -335,7 +335,7 @@ def test_stationary_geometric_series_case():
         signal_dists=[VectorDist((Point(z),))],
     )
     model = build_meanfield_model(spec, 100, 50.0, np.array([100]))
-    out = ol.sample_stationary(spec, model, 0, 1e-8, 1, size=4)
+    out = StationarySampler(spec, model, 1e-8).sample(0, np.random.default_rng(1), size=4)
     assert np.allclose(out, z, atol=1e-8)
 
 
@@ -353,7 +353,7 @@ def test_stationary_matches_long_simulation_deterministic():
     C = ol.normalize_weights(graph)
     _, state = ol.simulate(spec, graph, C, 200, 2)
     model = build_meanfield_model(spec, n, 60.0, graph.census)
-    draw = ol.sample_stationary(spec, model, 0, 1e-10, 3, size=1)
+    draw = StationarySampler(spec, model, 1e-10).sample(0, np.random.default_rng(3))
     assert np.abs(state.R - draw).max() < 1e-6
 
 
@@ -372,6 +372,8 @@ SIGNAL_LAWS = {
     "uniform": lambda r, j: Uniform(-0.4 + 0.1 * r, 0.2 + 0.1 * j),
     "beta": lambda r, j: ScaledBeta(1.5 + j, 2.0 + r, -0.5, 0.5),
     "point": lambda r, j: Point(0.1 * (j - r)),
+    "mix": lambda r, j: Mixture((0.3, 0.5, 0.2), (Point(0.1 * (j - r)), Uniform(-0.4, 0.2 + 0.1 * j),
+                                                  ScaledBeta(1.5 + j, 2.0 + r, -0.5, 0.5))),
 }
 
 
