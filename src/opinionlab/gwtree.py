@@ -14,9 +14,15 @@ streams, so batches run on worker threads and the output does not
 depend on the thread count.  A batch holds each generation as K type
 groups of path weights and tree ids, draws children one (parent type,
 child type) block at a time and reduces the deepest generation per
-parent, so it peaks at about 48 B per second-to-last-generation node
-with K = 1 and point weights (tracemalloc; 65 B with uniform weights)
-and at about 104 B with K = 2 (mostly one leaf run's draws).
+parent, in runs of whole parents, so it peaks at about 48 B per
+second-to-last-generation node with K = 1 and point weights
+(tracemalloc; 59 B with uniform weights) and at about 79 B with K = 2.
+
+Uniform node values come from the value stream's raw 64-bit words: two
+32-bit draws k per word, low half first, each the midpoint of one of
+2^32 equal cells of [lo, hi].  A block of N values spends ceil(N / 2)
+words, and a parent's leaf sum is affine in the exact integer sum of
+its k.  Other laws draw through their sample method.
 """
 
 from dataclasses import dataclass
@@ -31,8 +37,10 @@ from .parallel import parallel_map
 
 NODE_BUDGET = 1_000_000
 _BATCH_NODE_CAP = 20_000_000
-# leaf values drawn per run of whole parents in the deepest generation
-_LEAF_CHUNK = 1 << 18
+# leaf values drawn per run of whole parents in the deepest generation.  Each run
+# costs about 20 numpy calls, which slow two worker threads at 2^16; at 2^18 a
+# run's per-parent temporaries dominate the batch peak when parents are small
+_LEAF_CHUNK = 1 << 17
 
 
 class TreeBudgetError(RuntimeError):
@@ -252,28 +260,56 @@ def generation_sum_samples(spec, root_type, q, s_max, value_dists, replications,
     return np.concatenate(parts)
 
 
-def _draw_values(dist, rng, size):
-    # float32 draws are plenty for Monte Carlo values and twice as fast
-    if type(dist) is Uniform:
-        out = rng.random(size, dtype=np.float32)
-        out *= np.float32(dist.hi - dist.lo)
-        out += np.float32(dist.lo)
-        return out
-    return dist.sample(rng, size=size)
+def _uniform_affine(dist):
+    """(a, scale) such that the 32-bit draw k means the Uniform value
+    a + scale * k = lo + (hi - lo) (k + 1/2) 2^-32, the midpoint of the
+    k-th of 2^32 equal cells."""
+    width = dist.hi - dist.lo
+    return dist.lo + width * 2.0**-33, width * 2.0**-32
 
 
-def _segment_sums(values, starts, nz):
-    """Per-parent sums of consecutive value segments: nz marks the parents
-    with a non-empty segment and starts holds those segments' offsets.
+def _raw_words(value_rng, n):
+    # enough raw 64-bit words for n 32-bit draws
+    return value_rng.bit_generator.random_raw(-(-n // 2))
 
-    Segments are one parent's offspring (tens to hundreds of values), so
-    a float32 input loses ~1e-6 relative accuracy at most, far below the
-    Monte Carlo noise floor.
-    """
-    out = np.zeros(nz.size)
-    if starts.size:
-        out[nz] = np.add.reduceat(values, starts)
+
+def _halves(words):
+    # the 32-bit draws of words in stream order, low half first, at either byte order
+    return words.astype("<u8", copy=False).view("<u4")
+
+
+def _draw_values(dist, value_rng, size):
+    """size float64 values of dist.  A Uniform block spends ceil(size / 2)
+    raw words, one 32-bit draw per value."""
+    if type(dist) is not Uniform:
+        return dist.sample(value_rng, size=size)
+    a, scale = _uniform_affine(dist)
+    out = np.multiply(_halves(_raw_words(value_rng, size))[:size], scale)
+    out += a
     return out
+
+
+_LOW = np.uint64(0xFFFFFFFF)
+
+
+def _half_sums(words, starts):
+    """Exact uint64 sums of the 32-bit halves of words (low half first)
+    over segments that start at the half offsets starts (starts[0] = 0)
+    and run to the next start or the end.  Shifts words in place.
+
+    The halves [a, b) are the words [a // 2, b // 2) less the low half of
+    word a // 2 if a is odd, plus that of word b // 2 if b is odd.  A sum
+    over the words is the low sum plus 2^32 times the high sum (mod 2^64);
+    a second sum over the high halves alone separates the two."""
+    first = starts >> 1
+    odd_low = np.where(starts & 1, words[first] & _LOW, 0)
+    sums = np.add.reduceat(words, first)
+    words >>= np.uint64(32)
+    sums -= np.add.reduceat(words, first) * _LOW
+    sums[:-1][first[1:] == first[:-1]] = 0  # reduceat gives words[first] for no words
+    sums -= odd_low
+    sums[:-1] += odd_low[1:]
+    return sums
 
 
 def _leaf_segment_sums(weight_dist, dist, counts, rng, value_rng, seg_x, seg_w):
@@ -281,28 +317,59 @@ def _leaf_segment_sums(weight_dist, dist, counts, rng, value_rng, seg_x, seg_w):
     per-parent sums seg_x (values with point weights, where seg_w is
     None; else weight * value) and seg_w (weights).  counts holds each
     parent's children in the block.  Runs of whole parents of about
-    _LEAF_CHUNK values are drawn and each segment is summed alone; every
-    law's stream continues across runs, so the sums do not depend on the
-    run size."""
+    _LEAF_CHUNK values are drawn and each parent's segment is summed alone.
+
+    A Uniform block spends ceil(N / 2) raw words on its N values: a run
+    opens with the unused high half of the previous run's last word, so
+    neither the draws nor the sums depend on the run size.  With the
+    draws k and (a, scale) from _uniform_affine, a parent's value sum is
+    count * a + scale * sum(k), with sum(k) exact in integers, and with
+    weights a * sum(w) + scale * sum(w * k).  Other laws continue their
+    stream across runs."""
+    uniform = type(dist) is Uniform
+    if uniform:
+        a, scale = _uniform_affine(dist)
+    spare = None  # the unused high half of a Uniform run's last word
     ends = np.cumsum(counts)
     lo = 0
     while lo < counts.size:
         base = int(ends[lo - 1]) if lo else 0
         hi = max(int(np.searchsorted(ends, base + _LEAF_CHUNK, side="right")), lo + 1)
         size = int(ends[hi - 1]) - base
-        nz = counts[lo:hi] > 0
-        starts = (ends[lo:hi] - counts[lo:hi] - base)[nz]
-        values = _draw_values(dist, value_rng, size)
-        if seg_w is None:
-            seg_x[lo:hi] += _segment_sums(values, starts, nz)
+        run, lo = slice(lo, hi), hi
+        if size == 0:
+            continue
+        c = counts[run]
+        nz = c > 0
+        starts = (ends[run] - c - base)[nz]
+        weight = None if seg_w is None else weight_dist.sample(rng, size=size)
+        if weight is not None:
+            weight_sums = np.add.reduceat(weight, starts)
+            seg_w[run][nz] += weight_sums
+        if not uniform:
+            draws = dist.sample(value_rng, size=size)
+            if weight is not None:
+                draws *= weight
+            seg_x[run][nz] += np.add.reduceat(draws, starts)
         else:
-            weight = weight_dist.sample(rng, size=size)
-            seg_w[lo:hi] += _segment_sums(weight, starts, nz)
-            weight *= values
-            seg_x[lo:hi] += _segment_sums(weight, starts, nz)
-            del weight
-        del values  # before the next run's draws
-        lo = hi
+            carry, fresh = spare, size - (spare is not None)
+            draws = _raw_words(value_rng, fresh)
+            spare = None
+            if fresh % 2:
+                spare = int(draws[-1] >> np.uint64(32))
+                draws[-1] &= _LOW
+            if weight is not None:
+                weight[size - fresh :] *= _halves(draws)[:fresh]
+                if carry is not None:
+                    weight[0] *= carry
+                seg_x[run][nz] += a * weight_sums + scale * np.add.reduceat(weight, starts)
+            elif carry is None:
+                seg_x[run][nz] += c[nz] * a + scale * _half_sums(draws, starts)
+            else:  # the carried half opens the first segment
+                k = _half_sums(draws, np.maximum(starts - 1, 0)) if fresh else np.zeros(1, np.uint64)
+                k[0] += np.uint64(carry)
+                seg_x[run][nz] += c[nz] * a + scale * k
+        del weight, draws  # before the next run's draws
 
 
 def _join(pieces):
@@ -379,7 +446,8 @@ def _batch_sums(spec, root_type, q, s_max, dists, b, rng, value_rng, point_weigh
         groups = [(_join(ids), _join(path)) for ids, path in pieces]
         del pieces  # the copied pieces of a joined group
         for t, (ids, path) in enumerate(groups):
-            contrib = path * _draw_values(dists[t], value_rng, ids.size)
+            contrib = _draw_values(dists[t], value_rng, ids.size)
+            contrib *= path
             sums[:, s - 1] += np.bincount(ids, weights=contrib, minlength=b)
             del contrib  # before the next draws
     return sums

@@ -76,9 +76,9 @@ DIGESTS = {
         "summary.json": "06438c1f44f062fced56cf2752de41f6c158e996de84c106c48c55f624453926",
     },
     "tree": {
-        "summary.json": "d2f32d98f08202f8ac4c0c5b548c00edc3388ba4711a6e197c1a2578b051a52a",
+        "summary.json": "1de4fe1dfa53209f95fa16a716bd08297dc354b8820d7a581f77329982d3d955",
         "tree_diagnostic.csv": "a88019d078c15a9a7aa54f78e12b1d822fc90600bbc185d7d20ee765e750b13c",
-        "tree_scaling.csv": "72061f29b09f4d3f5bcfef25e3698b2dc5cf615e1c8b440ccaebca1cde5f0ed6",
+        "tree_scaling.csv": "4a5c3f81e88e2db40016a8b0dc6d8e71dbd02f6ab257c39d034e3864f630ee93",
     },
 }
 

@@ -222,6 +222,84 @@ def test_k2_batch_sums_match_materialized_trees_in_distribution():
     assert np.all(np.abs(batch.mean(0) - direct.mean(0)) < 4 * se)
 
 
+@pytest.mark.parametrize("weight", [Point(1.0), Uniform(0.2, 1.0)])
+def test_k1_batch_sums_match_materialized_trees_in_distribution(weight):
+    # raw-word Uniform values in the batch kernel against float64 dist.sample
+    # values on sample_tree: means and second moments of both generations
+    spec = one_type_spec(weight=weight)
+    q, values = np.array([[4.0]]), [Uniform(-0.5, 1.0)]
+    batch = gwtree.generation_sum_samples(spec, 0, q, 2, values, 4000, 41)
+    rng = np.random.default_rng(43)
+    direct = np.empty((1500, 2))
+    for i in range(1500):
+        tree = ol.sample_tree(spec, 0, q, 2, rng)
+        for s in (1, 2):
+            node_vals = values[0].sample(rng, size=tree.levels[s].types.size)
+            direct[i, s - 1] = ol.weighted_generation_sum(tree, s, node_vals)
+    for power in (1, 2):
+        x, y = batch**power, direct**power
+        se = np.hypot(x.std(0, ddof=1) / np.sqrt(4000), y.std(0, ddof=1) / np.sqrt(1500))
+        assert np.all(np.abs(x.mean(0) - y.mean(0)) < 4 * se)
+
+
+def raw_halves(value_rng, n):
+    """The next ceil(n / 2) raw words of value_rng as Python integers, cut
+    into their first n 32-bit halves, low half first."""
+    words = [int(w) for w in value_rng.bit_generator.random_raw(-(-n // 2))]
+    return [half for w in words for half in (w & 0xFFFFFFFF, w >> 32)][:n]
+
+
+def test_uniform_values_take_half_a_word_each():
+    dist = Uniform(-1.0, 0.5)
+    width = dist.hi - dist.lo
+    for size in (1, 6, 7):
+        got = gwtree._draw_values(dist, np.random.default_rng(3), size)
+        ref = np.random.default_rng(3)
+        want = [dist.lo + width * 2.0**-33 + width * 2.0**-32 * k for k in raw_halves(ref, size)]
+        assert got.dtype == np.float64 and got.tolist() == want
+        assert np.all((dist.lo < got) & (got < dist.hi))
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 7, gwtree._LEAF_CHUNK])
+@pytest.mark.parametrize("weight", [Point(1.0), Uniform(0.2, 1.0)])
+def test_uniform_leaf_sums_are_exact_from_raw_words(weight, chunk, monkeypatch):
+    """A Uniform leaf block's per-parent sums against a reference from the
+    same raw words in Python integers: the block spends ceil(N / 2) words
+    whatever the run size, a run's spare high half opens the next run, and
+    a parent's value sum is count * a + scale * sum(k) with sum(k) exact.
+    Weighted sums go through the kernel's float reduction (reduceat) on
+    the reference's w * k."""
+    monkeypatch.setattr(gwtree, "_LEAF_CHUNK", chunk)
+    dist = Uniform(-1.0, 0.5)
+    a = dist.lo + (dist.hi - dist.lo) * 2.0**-33
+    scale = (dist.hi - dist.lo) * 2.0**-32
+    counts = np.random.default_rng(chunk).poisson(3.0, size=301)
+    counts[:5] = [1, 0, 1, 1, 3]  # lone draws on both halves of a word, an empty parent
+    counts[-1] += 1 - counts.sum() % 2  # an odd block: the last word's high half is unused
+    n = int(counts.sum())
+    seg_x = np.zeros(counts.size)
+    seg_w = None if isinstance(weight, Point) else np.zeros(counts.size)
+    rng, value_rng = np.random.default_rng(5), np.random.default_rng(6)
+    gwtree._leaf_segment_sums(weight, dist, counts, rng, value_rng, seg_x, seg_w)
+
+    ref_rng, ref_values = np.random.default_rng(5), np.random.default_rng(6)
+    k = raw_halves(ref_values, n)
+    starts = (np.cumsum(counts) - counts).tolist()
+    if seg_w is None:
+        want = [c * a + scale * float(sum(k[s : s + c])) for c, s in zip(counts.tolist(), starts)]
+        assert seg_x.tolist() == want
+    else:
+        w = weight.sample(ref_rng, size=n)
+        nz = counts > 0
+        want_w, wk = np.zeros(counts.size), np.zeros(counts.size)
+        want_w[nz] = np.add.reduceat(w, np.array(starts)[nz])
+        wk[nz] = np.add.reduceat(w * np.array(k, dtype=float), np.array(starts)[nz])
+        assert np.array_equal(seg_w, want_w)
+        assert np.array_equal(seg_x, a * want_w + scale * wk)
+    # the block took exactly ceil(N / 2) words
+    assert value_rng.bit_generator.random_raw() == ref_values.bit_generator.random_raw()
+
+
 def batched_case(name):
     """(spec, q, values, batch_cap, batch) with batch_cap small enough that
     40 trees of depth 3 take five batches of `batch` trees."""
@@ -245,8 +323,8 @@ BATCHED = ["k1_point", "k1_uniform", "k1_mix", "k2"]
 
 # sha256 of the 40 x 3 sums of seed 11 below; the K = 1 output bytes are pinned
 K1_DIGESTS = {
-    "k1_point": "de14f2c6aebae8b6ae64f4231152c1011826ce0a1d4a8e6f1312e055ad609f5b",
-    "k1_uniform": "e142653a5eb84ac37bb356b0deb6e756bfc0e6888aa4c08a9b0c3f387ae60d04",
+    "k1_point": "d9df8078e529c0fd177068b3251c24e50a0992d5e8a88ed05b63fa2f5919b67f",
+    "k1_uniform": "c3932f2880e4ab7b48efff74cc608f9eed5c0b1fbe3533b05b1cef5dd43c53d4",
 }
 
 
@@ -282,12 +360,12 @@ def test_leaf_chunk_size_leaves_sums_unchanged(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name, bound", [
-    # measured 48.2, 64.9, 81.3 and 103.8 B.  Most of k1_mix's and k2's is one leaf
-    # run's draws (2^18 values), since generation 2 is small (64 000 and about 97 000 nodes)
+    # measured 48.2, 58.7, 63.8 and 79.4 B.  Part of each is one leaf run's draws
+    # (2^17 values), since generation 2 is small (64 000 and about 97 000 nodes)
     ("k1_point", 52.0),
-    ("k1_uniform", 72.0),
-    ("k1_mix", 88.0),
-    ("k2", 110.0),
+    ("k1_uniform", 64.0),
+    ("k1_mix", 70.0),
+    ("k2", 87.0),
 ])
 def test_tree_batch_peak_bytes_per_node(name, bound):
     # one batch of depth-3 trees at theta = 8.  The deepest generation is reduced per
