@@ -105,7 +105,8 @@ class ScaledBeta:
         return self.lo + (self.hi - self.lo) * rng.beta(self.a, self.b, size=size)
 
     def quantile(self, u):
-        # imported here: scipy.special adds about 4 MB to every run that loads it
+        # imported here: without scipy.sparse loaded, scipy.special's first import takes
+        # about 0.15 s and 16 MB of RSS (its array-API layer), paid only by runs that use it
         from scipy.special import betaincinv
         out = betaincinv(self.a, self.b, u)
         out *= self.hi - self.lo

@@ -14,6 +14,10 @@ int32 sources.  The in-degrees then fix the CSR layout, and each block
 is scattered into place: a row holds its source blocks in community
 order, each block's sources ascending.  C is kept as the graph's raw
 weights over their row totals, so graph plus C hold 12 bytes per edge.
+The raw weights B are a ``CSRView`` on the graph's own arrays, applied
+with scipy's compiled CSR loops; ``scipy.sparse`` itself is not
+imported, since with its array-API layer it costs every process about
+0.15 s and 14 MB of RSS before the first draw.
 
 Every pass over cells, draws or edges works on pieces of about CHUNK
 (row-aligned runs from ``_row_runs``, or sub-draws of one geometric
@@ -27,17 +31,39 @@ the runs not yet placed) and about 13 B per edge with one community
 (n = 2e5 geometric, or n = 2000 Bernoulli).
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from . import rng as rngmod
 from .rng import substream
 
 DENSE_P = 0.25          # per-block sampler switch
 CHUNK = 1 << 16         # grid cells per Bernoulli draw, edges per CSR scatter step
+
+
+def _load_sparsetools():
+    """scipy's compiled sparse kernels, loaded from scipy's install folder
+    so that ``scipy/sparse/__init__.py`` never runs."""
+    name = "scipy.sparse._sparsetools"
+    folder = os.path.join(os.path.dirname(scipy.__file__), "sparse")
+    paths = [os.path.join(folder, "_sparsetools" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    for path in paths:
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's compiled sparse kernels are missing: no file {paths[0]}")
+
+
+_sparsetools = _load_sparsetools()
 
 
 @dataclass
@@ -68,12 +94,40 @@ class GraphSample:
         return int(self.indptr[-1])
 
 
+class CSRView:
+    """A CSR matrix on given arrays, applied with the loops that scipy's
+    ``csr_matrix @`` dispatches to: ``csr_matvec`` for a vector or one
+    column, ``csr_matvecs`` for several, so the bytes are scipy's.
+    ``indptr`` and ``indices`` share one integer dtype, or the kernels
+    cast a copy on every call."""
+
+    def __init__(self, data, indices, indptr, shape):
+        self.data = data
+        self.indices = indices
+        self.indptr = indptr
+        self.shape = shape
+
+    def __matmul__(self, X):
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        M, N = self.shape
+        if X.ndim not in (1, 2) or X.shape[0] != N:
+            raise ValueError(f"cannot apply a {M} x {N} matrix to an array of shape {X.shape}")
+        if X.ndim == 1 or X.shape[1] == 1:
+            Y = np.zeros(M)
+            _sparsetools.csr_matvec(M, N, self.indptr, self.indices, self.data, X.ravel(), Y)
+            return Y if X.ndim == 1 else Y.reshape(M, 1)
+        Y = np.zeros((M, X.shape[1]))
+        _sparsetools.csr_matvecs(M, N, X.shape[1], self.indptr, self.indices, self.data,
+                                 X.ravel(), Y.ravel())
+        return Y
+
+
 class InfluenceMatrix:
     """Row-stochastic listening weights C; rows with no positive weight are zero.
 
     ``normalize_weights`` keeps C factored: ``weights`` is the raw weight
-    matrix B as scipy CSR on the graph's own ``weights``, ``sources`` and
-    ``indptr`` (not copies: neither side may change them in place), and
+    matrix B as a ``CSRView`` on the graph's own ``weights``, ``sources``
+    and ``indptr`` (not copies: neither side may change them in place), and
     ``divisor`` holds each row's total, inf where it is not positive.  No
     value of C is stored, and ``propagate`` is a serial CSR loop, so its
     bytes do not depend on the BLAS thread count.  Given no ``divisor``,
@@ -91,8 +145,11 @@ class InfluenceMatrix:
 
     @property
     def matrix(self):
-        """C, built from the factors on each access, on the graph's index
-        arrays unless a value is 0; for tests and inspection only."""
+        """C as scipy CSR, built from the factors on each access, on the
+        graph's index arrays unless a value is 0; for tests and inspection
+        only, so scipy.sparse is imported here."""
+        import scipy.sparse as sp
+
         B = self.weights
         if self.divisor is None:
             return B
@@ -324,6 +381,8 @@ def normalize_weights(graph):
                                      weights=graph.weights[a:b], minlength=r1 - r0)
     zero_rows = divisor <= 0.0  # weights are >= 0, so such a row holds only zeros
     divisor[zero_rows] = np.inf
-    B = sp.csr_matrix((graph.weights, graph.sources, graph.indptr), shape=(n, n))
+    # the kernels take one index dtype: an int64 indptr (m >= 2**31) gets int64 sources
+    B = CSRView(graph.weights, graph.sources.astype(graph.indptr.dtype, copy=False),
+                graph.indptr, (n, n))
     return InfluenceMatrix(matrix=B, zero_rows=zero_rows, divisor=divisor)
 

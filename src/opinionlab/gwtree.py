@@ -497,22 +497,22 @@ def neighborhood_diagnostic(graph, vertex, depth, K=None, node_cap=2_000_000):
     frontier = np.array([vertex], dtype=np.int64)
     seen = {int(vertex)}
     census = [np.bincount(labels[frontier], minlength=K)]
-    indeg = [np.diff(indptr)[frontier]]
+    indeg = [indptr[frontier + 1] - indptr[frontier]]
     tree_depth = depth
     for g in range(1, depth + 1):
         parts = [sources[indptr[v] : indptr[v + 1]] for v in frontier]
         nxt = np.concatenate(parts) if parts else np.empty(0, np.int64)
         if nxt.size > node_cap:
             raise RuntimeError(f"neighborhood exploded past {node_cap} vertices")
-        unique = np.unique(nxt)
-        repeated = unique.size < nxt.size or any(int(v) in seen for v in unique)
-        if repeated:
+        # a sorted copy, not np.unique, which loads numpy.ma inside the run
+        ordered = np.sort(nxt)
+        if (ordered[1:] == ordered[:-1]).any() or any(int(v) in seen for v in ordered):
             tree_depth = g - 1
             break
-        seen.update(int(v) for v in unique)
+        seen.update(int(v) for v in ordered)
         frontier = nxt
         census.append(np.bincount(labels[frontier], minlength=K))
-        indeg.append(np.diff(indptr)[frontier])
+        indeg.append(indptr[frontier + 1] - indptr[frontier])
         if frontier.size == 0:
             break
     return NeighborhoodDiagnostic(

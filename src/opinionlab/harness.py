@@ -17,6 +17,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import rng as rngmod
@@ -35,12 +36,6 @@ from .metrics import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-
-def _scipy_version():
-    import scipy
-
-    return scipy.__version__
 
 
 def _fmt(value):
@@ -105,7 +100,7 @@ def run(cfg, out_dir=None):
         "versions": {
             "opinionlab": __version__,
             "numpy": np.__version__,
-            "scipy": _scipy_version(),
+            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "outputs": sorted(outputs + ["summary.json"]),

@@ -18,6 +18,7 @@ the same output as in sequence.
 """
 
 import numpy as np
+import numpy.random  # noqa: F401  (loaded with the package, not by the first run's draw)
 
 LABELS = 0
 EDGES = 1

@@ -101,7 +101,8 @@ def test_mixture_maps_each_uniform_through_its_component():
 
 
 def test_import_leaves_scipy_special_unloaded():
-    # betaincinv is imported on first use; loading scipy.special costs every run about 4 MB
+    # betaincinv is imported on first use: loading scipy.special (and with it scipy's
+    # array-API layer) would cost every run about 0.15 s and 16 MB of RSS
     code = "import sys, opinionlab; print('scipy.special' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(opinionlab.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

@@ -7,6 +7,7 @@ output bytes updates these constants and says why in CHANGES.md.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -156,3 +157,35 @@ def test_stationary_bytes_ignore_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         digests.append(output_digests(out)["stationarity.csv"])
     assert digests[0] == digests[1]
+
+
+FOOTPRINT_CHILD = """
+import json, sys
+import opinionlab
+from opinionlab.config import parse_config
+from opinionlab.harness import run
+
+configs, out = json.loads(sys.argv[1]), sys.argv[2]
+first_loaded = {}
+for kind, text in configs.items():
+    cfg = parse_config(text)
+    before = set(sys.modules)
+    run(cfg, f"{out}/{kind}")
+    first_loaded[kind] = sorted(set(sys.modules) - before)
+heavy = [name for name in ("scipy.sparse", "numpy.f2py", "numpy.testing") if name in sys.modules]
+print(json.dumps({"first_loaded": first_loaded, "heavy": heavy}))
+"""
+
+
+def test_import_footprint_of_every_kind(tmp_path):
+    # scipy.sparse's import (its array-API layer pulls in numpy.f2py and numpy.testing) would
+    # cost every process about 0.15 s and 14 MB of RSS, and a module first loaded inside run()
+    # counts toward the run's wall time
+    configs = {kind: f"kind = {kind}\nseed = 17\n{text}\n{MODEL}" for kind, text in CONFIGS.items()}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD, json.dumps(configs), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["heavy"] == []
+    assert report["first_loaded"] == {kind: [] for kind in CONFIGS}

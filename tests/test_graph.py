@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -275,6 +277,62 @@ def test_influence_shares_graph_index_arrays(monkeypatch):
     graph, indptr, sources, weights = kept[0]
     assert np.array_equal(graph.indptr, indptr) and np.array_equal(graph.sources, sources)
     assert np.array_equal(graph.weights, weights)
+
+
+def view_graph(K, int64_indptr=False):
+    """A graph with zero rows; with int64_indptr, C's view carries int64
+    copies of its sources."""
+    spec = random_spec(20 + K, K=K)
+    g = ol.sample_graph(spec, ol.sample_labels(spec, 300, K), 3.0, K)
+    assert g.no_inbound.any() and g.edge_count() > 0
+    return dataclasses.replace(g, indptr=g.indptr.astype(np.int64)) if int64_indptr else g
+
+
+@pytest.mark.parametrize("K, int64_indptr", [(1, False), (2, False), (2, True)])
+def test_view_product_is_scipy_bytes(K, int64_indptr):
+    g = view_graph(K, int64_indptr)
+    B = ol.normalize_weights(g).weights
+    assert B.indices.dtype == B.indptr.dtype == g.indptr.dtype
+    assert np.shares_memory(B.indices, g.sources) != int64_indptr
+    reference = sp.csr_matrix((B.data, B.indices, B.indptr), shape=B.shape)
+    rng = np.random.default_rng(K)
+    for shape in ((g.n,), (g.n, 1), (g.n, 4), (g.n, 16)):
+        X = rng.uniform(-1.0, 1.0, size=shape)
+        for x in (X, np.asfortranarray(X)):
+            Y, want = B @ x, reference @ x
+            assert Y.shape == want.shape and Y.dtype == want.dtype
+            assert Y.tobytes() == want.tobytes()
+
+
+def test_missing_kernel_module_names_its_path(monkeypatch, tmp_path):
+    monkeypatch.setattr(graph, "scipy", types.SimpleNamespace(__file__=str(tmp_path / "__init__.py")))
+    with pytest.raises(ImportError, match=str(tmp_path / "sparse" / "_sparsetools")):
+        graph._load_sparsetools()
+
+
+def test_view_single_column_takes_vector_loop(monkeypatch):
+    # scipy sends an (n, 1) X through csr_matvec; csr_matvecs gives the same bytes, slower
+    class Recorder:
+        def __init__(self, kernels):
+            self.kernels, self.calls = kernels, []
+
+        def __getattr__(self, name):
+            self.calls.append(name)
+            return getattr(self.kernels, name)
+
+    recorder = Recorder(graph._sparsetools)
+    monkeypatch.setattr(graph, "_sparsetools", recorder)
+    g = view_graph(2)
+    B = ol.normalize_weights(g).weights
+    for shape, loop in (((g.n,), "csr_matvec"), ((g.n, 1), "csr_matvec"), ((g.n, 4), "csr_matvecs")):
+        recorder.calls.clear()
+        B @ np.ones(shape)
+        assert recorder.calls == [loop]
+    recorder.calls.clear()
+    for shape in ((g.n + 1,), (g.n - 1, 2), (g.n, 1, 1)):
+        with pytest.raises(ValueError):
+            B @ np.ones(shape)
+    assert recorder.calls == []
 
 
 @pytest.mark.parametrize("seed", range(8))
