@@ -5,30 +5,24 @@ that measure how fast the two agree."""
 __version__ = "0.1.0"
 
 from .model import ModelSpec, SpecError
-from .graph import (
-    GraphSample, InfluenceMatrix, empirical_shares, normalize_weights, sample_graph,
-    sample_labels,
-)
+from .graph import GraphSample, InfluenceMatrix, normalize_weights, sample_graph, sample_labels
 from .dynamics import (
-    OpinionState, SignalFrame, TrajectoryRecord, closed_form_state, hop_weight,
-    hop_weight_table, initial_state, sample_signal_frame, simulate, step,
+    OpinionState, SignalFrame, TrajectoryRecord, hop_weight, hop_weight_table,
+    initial_state, sample_signal_frame, simulate, step,
 )
 from .meanfield import (
     MeanFieldModel, RegimeStats, StationarySampler, build_meanfield_model,
-    deterministic_profile, expand_rows, intermediate_trajectory,
-    meanfield_trajectory, mixing_matrix, no_inbound_prob, regime_stats,
-    share_mismatch, stationary_horizon, vertex_mixing_matrix,
+    deterministic_profile, intermediate_trajectory, meanfield_trajectory, mixing_matrix,
+    no_inbound_prob, regime_stats, share_mismatch, stationary_horizon,
 )
 from .gwtree import (
-    GWTree, NeighborhoodDiagnostic, TreeBudgetError, a_s_profile,
-    neighborhood_diagnostic, offspring_means, path_weight_sum, sample_tree,
-    weighted_generation_sum,
+    NeighborhoodDiagnostic, TreeBudgetError, a_s_profile, neighborhood_diagnostic,
+    offspring_means,
 )
 from .metrics import (
     ChaosReport, ConcentrationCase, ConcentrationReport, ErrorCurve, ErrorPoint,
     StationarityReport, burn_in_steps, chaos_experiment, concentration_check,
-    coupled_gap_run, error_experiment, matrix_inf_distance, parse_function,
-    stationarity_experiment,
+    coupled_gap_run, error_experiment, parse_function, stationarity_experiment,
 )
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config, theta_value
 from .harness import run

@@ -7,9 +7,10 @@ chaos, stationary, concentration, tree); `validate` parses the config
 and reports every violation.  Flags override the corresponding config
 keys; the thread count comes from --threads, else OPINIONLAB_THREADS,
 else the config.  Exit codes: 0 success, 2 config error (also a
-negative --seed, a thread count that is not a positive integer, or a
+negative --seed, a thread count that is not a positive integer, a
 `record` or `vertex_sets` id that is negative or not below the first
-n), 3 runtime/budget error.
+n, or a `stationary` run whose k_max does not burn in to burn_tol),
+3 runtime/budget error.
 """
 
 import argparse

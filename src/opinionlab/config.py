@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .distributions import parse_scalar, parse_vector, DistributionError
-from .metrics import parse_function
+from .metrics import burn_in_steps, parse_function
 from .model import ModelSpec
 
 KINDS = ("simulate", "meanfield", "error", "chaos", "stationary", "concentration", "tree")
@@ -67,6 +67,8 @@ def theta_value(rule, n):
     if kind == "log":
         return x * math.log(n)
     if kind == "loglog":
+        if n < 2:
+            raise ConfigError(f"theta: {rule!r} is undefined at n={n}; loglog needs n >= 2")
         return x * math.log(math.log(n))
     if kind == "pow":
         try:
@@ -109,6 +111,17 @@ class ExperimentConfig:
 
 
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
+def stationary_k_long(cfg):
+    """Steps the stationary kind runs: k_max, else the burn-in to
+    burn_tol.  Raises ConfigError unless (1-d)^k_long is below burn_tol."""
+    d, tol = cfg.model.d, cfg.burn_tol
+    k_long = cfg.k_max if cfg.k_max > 0 else burn_in_steps(d, tol)
+    if (1.0 - d) ** k_long >= tol:
+        raise ConfigError(f"k_max: {k_long} steps do not burn in to burn_tol={tol}: "
+                          f"(1-d)^k = {(1.0 - d) ** k_long:.3g}")
+    return k_long
 
 
 def _flatten_json(obj, prefix=""):
@@ -391,6 +404,11 @@ def parse_config(text):
         conc_value=conc["conc_value"],
         record=record,
     )
+    if kind == "stationary" and not problems:
+        try:
+            stationary_k_long(cfg)
+        except ConfigError as exc:
+            problems.extend(exc.problems)
     for key in pairs:
         problems.append(f"{key}: unknown key")
     if problems:

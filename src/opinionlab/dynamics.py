@@ -1,4 +1,4 @@
-"""Synchronous opinion recursion and its solved closed form.
+"""Synchronous opinion recursion and its binomial hop weights.
 
 One step of the process is
 
@@ -9,8 +9,8 @@ k-step state into powers of C with binomial hop weights
 
     hop_weight(s, t) = binom(t, s) * (1 - c - d)^(t - s) * c^s,
 
-which is the coefficient of C^s after t steps.  The closed form serves
-as an independent oracle for the iterated stepper.
+which is the coefficient of C^s after t steps; the mean-field profile
+weighs powers of the mixing matrix with them.
 """
 
 import math
@@ -35,7 +35,6 @@ class OpinionState:
 @dataclass
 class SignalFrame:
     W: np.ndarray   # assembled external signals, n x ell
-    Z: np.ndarray   # underlying media draws (kept for diagnostics)
 
 
 @dataclass
@@ -75,24 +74,18 @@ def hop_weight_table(k_max, c, d):
     return table
 
 
-def sample_signal_frame(spec, graph, seed, k=None):
-    """Draw one round of media signals and assemble the external frame
-    W = d * Z + c * q * 1(no inbound neighbors).
+def sample_signal_frame(spec, graph, seed):
+    """Draw one round of media signals Z and assemble the external frame
+    W = d * Z + c * q * 1(no inbound neighbors) in place of Z.
 
     seed is either a running Generator (signals are consumed in step
-    order, as simulate does) or a seed; passing the time index k with a
-    seed derives an independent per-step stream.
+    order, as iterate does) or a seed of the (seed, SIGNALS) stream.
     """
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    elif k is None:
-        rng = substream(seed, rngmod.SIGNALS)
-    else:
-        rng = substream(seed, int(k), rngmod.SIGNALS)
-    Z = spec.sample_signals(graph.labels, graph.beliefs, rng)
-    W = spec.d * Z
+    rng = seed if isinstance(seed, np.random.Generator) else substream(seed, rngmod.SIGNALS)
+    W = spec.sample_signals(graph.labels, graph.beliefs, rng)
+    W *= spec.d
     W += spec.c * graph.beliefs * graph.no_inbound[:, None]
-    return SignalFrame(W=W, Z=Z)
+    return SignalFrame(W=W)
 
 
 def step(state, influence, frame, c, d):
@@ -145,25 +138,20 @@ def iterate(spec, graph, influence, k, seed, observe):
     return state
 
 
-def simulate(spec, graph, influence, k_max, seed, record=None, keep_signals=False):
-    """Iterate the recursion for k_max steps.
+def simulate(spec, graph, influence, k_max, seed, record=None):
+    """Iterate the recursion for k_max steps; returns (record, state).
 
-    record selects vertex ids whose trajectories are retained.  With
-    keep_signals=True the per-step frames are returned as well (oracle
-    mode; default streaming mode keeps O(n * ell) memory).
+    record selects vertex ids whose trajectories are retained.
     """
     sel = np.asarray(record if record is not None else [], dtype=np.int64)
     traj = np.empty((sel.size, spec.ell, k_max + 1))
-    history = []
 
     def observe(state, frame):
         traj[:, :, state.k] = state.R[sel]
-        if keep_signals and frame is not None:
-            history.append(frame)
 
     state = iterate(spec, graph, influence, k_max, seed, observe)
     record_out = None if record is None else TrajectoryRecord(sel, graph.labels[sel], traj)
-    return (record_out, state, history) if keep_signals else (record_out, state)
+    return record_out, state
 
 
 class ExplicitProcess:
@@ -185,20 +173,3 @@ class ExplicitProcess:
         out += self.decay * self.R0
         return out
 
-
-def closed_form_state(influence, signal_history, R0, c, d, k):
-    """Solved k-step state from the signal history W^(1..k) and R^(0):
-    sum over t < k of sum over s <= t of hop_weight * C^s W^(k-t), plus
-    the same expansion applied to R^(0) at t = k."""
-    if len(signal_history) < k:
-        raise ValueError(f"need {k} signal frames, got {len(signal_history)}")
-    table = hop_weight_table(k, c, d)
-    inputs = [getattr(frame, "W", frame) for frame in reversed(signal_history[:k])] + [R0]
-    total = np.zeros_like(np.asarray(R0, dtype=float))
-    for t, term in enumerate(inputs):
-        power = np.asarray(term, dtype=float)
-        total += table[t, 0] * power
-        for s in range(1, t + 1):
-            power = influence.propagate(power)
-            total += table[t, s] * power
-    return OpinionState(R=total, k=k)

@@ -171,15 +171,6 @@ class InfluenceMatrix:
         return np.asarray(self.matrix.sum(axis=1)).ravel()
 
 
-def empirical_shares(labels, K):
-    """Exact label census divided by n."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("empirical shares need at least one vertex")
-    census = np.bincount(labels, minlength=K).astype(float)
-    return census / labels.size
-
-
 def sample_labels(spec, n, seed):
     """Community labels for n vertices: i.i.d. from pi, or an exact
     composition (uniformly permuted) when the spec requests it."""

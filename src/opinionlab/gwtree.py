@@ -1,15 +1,17 @@
-"""Marked K-type branching trees and graph tree-likeness diagnostics.
+"""Batch generation sums of marked K-type branching trees, and the
+graph-side tree-likeness (BFS) diagnostic.
 
 A tree node of type r has independent Poisson numbers of type-s
 children with means offspring_means[s, r]; child edges carry weights
 from the listener/source weight law, normalized per node into weights
 that multiply along branches into path weights (root weight 1).  The
 per-generation weighted sums of node values estimate how far a
-normalized random sum sits from its community-matrix prediction.
+normalized random sum sits from its community-matrix prediction.  No
+tree is materialized: the sums are drawn generation by generation.
 
-Trees are built level by level under a node budget, since expected
-generation size grows geometrically with depth.  Monte Carlo trees are
-simulated in batches; batch i draws from jumped(i) of the tree and value
+Trees are grown under a node budget, since expected generation size
+grows geometrically with depth.  Monte Carlo trees are simulated in
+batches; batch i draws from jumped(i) of the tree and value
 streams, so batches run on worker threads and the output does not
 depend on the thread count.  A batch holds each generation as K type
 groups of path weights and tree ids, draws children one (parent type,
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .rng import substream
-from .distributions import Point, Uniform, sample_by_label
+from .distributions import Point, Uniform
 from .parallel import parallel_map
 
 NODE_BUDGET = 1_000_000
@@ -59,148 +61,11 @@ def offspring_means(spec, shares, theta):
     return spec.kappa * shares[:, None] * float(theta)
 
 
-@dataclass
-class TreeLevel:
-    types: np.ndarray        # node types
-    parent: np.ndarray       # index into previous level (-1 at the root)
-    weight: np.ndarray       # raw edge weight from the parent (nan at the root)
-    norm_weight: np.ndarray  # per-parent normalized weight (1 at the root)
-    path_weight: np.ndarray  # product of normalized weights back to the root
-    offspring: np.ndarray    # per-node child counts by type, (n_nodes, K)
-
-
-@dataclass
-class GWTree:
-    root_type: int
-    depth: int
-    levels: list
-
-    def generation(self, s):
-        return self.levels[s]
-
-    def size(self):
-        return sum(level.types.size for level in self.levels)
-
-    def ancestry(self, s, i):
-        """Ulam-Harris style address of node i in generation s as the
-        tuple of child indices along the path from the root."""
-        path = []
-        for level_idx in range(s, 0, -1):
-            level = self.levels[level_idx]
-            parent = level.parent[i]
-            first_child = int(np.searchsorted(level.parent, parent))
-            path.append(int(i - first_child + 1))
-            i = parent
-        return tuple(reversed(path))
-
-
 def _check_budget(q, depth, budget):
     growth = float(q.sum(axis=0).max(initial=0.0))
     expected = growth**depth if depth else 1.0
     if expected > budget:
         raise TreeBudgetError(expected, budget)
-
-
-def sample_tree(spec, root_type, q, depth, seed, node_budget=NODE_BUDGET):
-    """Materialize one marked tree to the given depth."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    q = np.asarray(q, dtype=float)
-    _check_budget(q, depth, node_budget)
-    rng = seed if isinstance(seed, np.random.Generator) else substream(seed, rngmod.TREE)
-    K = spec.K
-    levels = [
-        TreeLevel(
-            types=np.array([root_type]),
-            parent=np.array([-1]),
-            weight=np.array([np.nan]),
-            norm_weight=np.array([1.0]),
-            path_weight=np.array([1.0]),
-            offspring=np.zeros((1, K), dtype=np.int64),
-        )
-    ]
-    total_nodes = 1
-    for _ in range(depth):
-        cur = levels[-1]
-        m = cur.types.size
-        if m == 0:
-            levels.append(_empty_level(K))
-            continue
-        counts = rng.poisson(q[:, cur.types].T)  # (m, K)
-        cur.offspring[:] = counts
-        per_node = counts.sum(axis=1)
-        total = int(per_node.sum())
-        total_nodes += total
-        if total_nodes > node_budget:
-            raise TreeBudgetError(total_nodes, node_budget)
-        parent = np.repeat(np.arange(m), per_node)
-        child_types = np.repeat(np.tile(np.arange(K), m), counts.ravel())
-        # uniformly permute siblings so order carries no type information
-        keys = rng.random(total)
-        order = np.lexsort((keys, parent))
-        child_types = child_types[order]
-        weight = _draw_edge_weights(spec, cur.types[parent], child_types, rng)
-        totals = np.bincount(parent, weights=weight, minlength=m)
-        norm = np.zeros(total)
-        pos = totals[parent] > 0.0
-        norm[pos] = weight[pos] / totals[parent[pos]]
-        path = cur.path_weight[parent] * norm
-        levels.append(
-            TreeLevel(
-                types=child_types, parent=parent, weight=weight,
-                norm_weight=norm, path_weight=path,
-                offspring=np.zeros((total, K), dtype=np.int64),
-            )
-        )
-    return GWTree(root_type=int(root_type), depth=depth, levels=levels)
-
-
-def _empty_level(K):
-    return TreeLevel(
-        types=np.empty(0, np.int64), parent=np.empty(0, np.int64),
-        weight=np.empty(0), norm_weight=np.empty(0), path_weight=np.empty(0),
-        offspring=np.zeros((0, K), dtype=np.int64),
-    )
-
-
-def _draw_edge_weights(spec, parent_types, child_types, rng):
-    # pair label pt * K + ct orders the draws parent type first, child type second
-    pair_dists = [dist for row in spec.weight_dists for dist in row]
-    return sample_by_label(pair_dists, parent_types * spec.K + child_types, rng)
-
-
-def weighted_generation_sum(tree, s, values):
-    """Path-weighted sum of node values over generation s.
-
-    values may be per-type (shape (K,) or (K, ell)) or per-node (shape
-    (n_nodes,) or (n_nodes, ell)); returns a scalar or one value per
-    topic accordingly.
-    """
-    if s > tree.depth:
-        raise ValueError(f"tree depth {tree.depth} < requested generation {s}")
-    level = tree.levels[s]
-    values = np.asarray(values, dtype=float)
-    K = tree.levels[0].offspring.shape[1]
-    if level.types.size == 0:
-        return np.zeros(values.shape[-1]) if values.ndim == 2 else 0.0
-    if values.shape[0] == K:
-        node_vals = values[level.types]       # per-type values (wins on ties)
-    elif values.shape[0] == level.types.size:
-        node_vals = values                    # per-node values
-    else:
-        raise ValueError(
-            f"values must be per-type (length {K}) or per-node (length {level.types.size})"
-        )
-    if node_vals.ndim == 1:
-        return float(level.path_weight @ node_vals)
-    return level.path_weight @ node_vals
-
-
-def path_weight_sum(tree, s):
-    """Total path weight of generation s (lies in [0, 1])."""
-    if s > tree.depth:
-        raise ValueError(f"tree depth {tree.depth} < requested generation {s}")
-    return float(tree.levels[s].path_weight.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +318,7 @@ def _batch_sums(spec, root_type, q, s_max, dists, b, rng, value_rng, point_weigh
     return sums
 
 
-def a_s_profile(spec, root_type, s_max, value_dists, q, mixing_emp, replications, seed,
+def a_s_profile(spec, root_type, s_max, value_dists, q, mixing, replications, seed,
                 node_budget=NODE_BUDGET, threads=1):
     """Deviation estimates for every generation 1..s_max from one shared
     set of trees; returns (estimates, standard errors)."""
@@ -464,7 +329,7 @@ def a_s_profile(spec, root_type, s_max, value_dists, q, mixing_emp, replications
     ses = np.empty(s_max)
     power = np.eye(spec.K)
     for s in range(1, s_max + 1):
-        power = mixing_emp @ power
+        power = mixing @ power
         target = float((power @ means)[root_type])
         devs = np.abs(sums[:, s - 1] - target)
         ests[s - 1] = devs.mean()
@@ -482,7 +347,6 @@ class NeighborhoodDiagnostic:
     depth: int
     tree_depth: int              # deepest generation with no repeated vertex
     generation_census: list      # per explored generation, K-vector of label counts
-    in_degree_sequence: list     # per explored generation, in-degrees of its vertices
 
     def is_tree(self, s=None):
         s = self.depth if s is None else s
@@ -497,7 +361,6 @@ def neighborhood_diagnostic(graph, vertex, depth, K=None, node_cap=2_000_000):
     frontier = np.array([vertex], dtype=np.int64)
     seen = {int(vertex)}
     census = [np.bincount(labels[frontier], minlength=K)]
-    indeg = [indptr[frontier + 1] - indptr[frontier]]
     tree_depth = depth
     for g in range(1, depth + 1):
         parts = [sources[indptr[v] : indptr[v + 1]] for v in frontier]
@@ -512,10 +375,9 @@ def neighborhood_diagnostic(graph, vertex, depth, K=None, node_cap=2_000_000):
         seen.update(int(v) for v in ordered)
         frontier = nxt
         census.append(np.bincount(labels[frontier], minlength=K))
-        indeg.append(indptr[frontier + 1] - indptr[frontier])
         if frontier.size == 0:
             break
     return NeighborhoodDiagnostic(
         vertex=int(vertex), depth=depth, tree_depth=tree_depth,
-        generation_census=census, in_degree_sequence=indeg,
+        generation_census=census,
     )

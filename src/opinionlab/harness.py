@@ -22,7 +22,9 @@ import scipy
 from . import __version__
 from . import rng as rngmod
 from .rng import substream
-from .config import DEFAULT_VERTEX_SETS, ConfigError, serialize_config, theta_value
+from .config import (
+    DEFAULT_VERTEX_SETS, ConfigError, serialize_config, stationary_k_long, theta_value,
+)
 from .distributions import parse_scalar
 from .graph import normalize_weights, sample_graph, sample_labels
 from .dynamics import simulate
@@ -132,26 +134,17 @@ def _run_error(cfg, out):
         cfg.model, cfg.n_grid, lambda n: theta_value(cfg.theta_rule, n),
         _k_max(cfg), cfg.inner_reps, cfg.outer_reps, cfg.seed, threads=cfg.threads,
     )
-    groups = {}
-    for pt in curve.points:
-        groups.setdefault(pt.n, []).append(pt)
+    by_n = curve.by_n()
     rows = []
     for n in cfg.n_grid:
-        pts = groups[n]
-        reps = sum(p.reps for p in pts)
-        dense = all(p.dense_ok for p in pts)
+        agg = by_n[n]
+        theta, reps, dense = agg["theta"], agg["reps"], agg["dense_ok"]
         for k in range(curve.k_max + 1):
-            for norm, attr, se_attr in (
-                ("inf", "inf_estimate", "inf_se"),
-                ("row_l1", "row_estimate", "row_se"),
-            ):
-                est = float(np.mean([getattr(p, attr)[k] for p in pts]))
-                se = float(np.sqrt(np.mean([getattr(p, se_attr)[k] ** 2 for p in pts]) / len(pts)))
-                rows.append((n, pts[0].theta, k, norm, est, se, reps, dense))
-        for norm, attr, se_attr in (("inf", "sup_inf", "sup_inf_se"), ("row_l1", "sup_row", "sup_row_se")):
-            est = float(np.mean([getattr(p, attr) for p in pts]))
-            se = float(np.sqrt(np.mean([getattr(p, se_attr) ** 2 for p in pts]) / len(pts)))
-            rows.append((n, pts[0].theta, -1, norm, est, se, reps, dense))
+            for norm in ("inf", "row_l1"):
+                est, se = agg[norm][k]
+                rows.append((n, theta, k, norm, est, se, reps, dense))
+        for norm, key in (("inf", "sup_inf"), ("row_l1", "sup_row")):
+            rows.append((n, theta, -1, norm, agg[key], agg[key + "_se"], reps, dense))
     write_csv(
         out / "error_curve.csv",
         ["n", "theta", "k", "norm_type", "estimate", "stderr", "reps", "dense_ok"],
@@ -212,7 +205,7 @@ def _run_chaos(cfg, out):
 def _run_stationary(cfg, out):
     n = cfg.n_grid[0]
     theta = theta_value(cfg.theta_rule, n)
-    k_long = cfg.k_max if cfg.k_max > 0 else burn_in_steps(cfg.model.d, cfg.burn_tol)
+    k_long = stationary_k_long(cfg)
     report = stationarity_experiment(
         cfg.model, n, theta, k_long, cfg.inner_reps, cfg.burn_tol, cfg.seed,
         stationary_reps=cfg.stationary_reps, threads=cfg.threads,
@@ -266,13 +259,13 @@ def _run_tree(cfg, out):
     diag_rows = []
     # node values drawn from the first-topic belief law of each community
     value_dists = [dist.components[0] for dist in spec.belief_dists]
-    mixing_emp = mixing_matrix(spec.pi, spec.kappa, spec.weight_mean_matrix())
+    mixing = mixing_matrix(spec.pi, spec.kappa, spec.weight_mean_matrix())
     for point_idx, n in enumerate(cfg.n_grid):
         theta = theta_value(cfg.theta_rule, n)
         q = offspring_means(spec, spec.pi, theta)
         for root_type in range(spec.K):
             ests, ses = a_s_profile(
-                spec, root_type, cfg.depth, value_dists, q, mixing_emp,
+                spec, root_type, cfg.depth, value_dists, q, mixing,
                 cfg.tree_reps, (cfg.seed, point_idx, root_type), threads=cfg.threads,
             )
             for s in range(1, cfg.depth + 1):

@@ -6,11 +6,10 @@ source community,
     mixing[r, s] = shares[s] * beta[r, s] * kappa[s, r] / (row total),
 
 built either from the limit shares or from the realized empirical
-shares.  The per-vertex n x n averaged matrix never has to be
-materialized: multiplying it into a community-constant matrix equals
-looking up the corresponding K x K product row by label, so all
-production paths work at K x K size.  A dense small-n materialization
-is kept only as a test oracle for that reduction.
+shares.  The per-vertex n x n averaged matrix is never materialized:
+multiplying it into a community-constant matrix equals looking up the
+corresponding K x K product row by label, so everything here works at
+K x K size.
 
 The mean-field trajectory of a vertex combines its own decayed signal
 stream with deterministic community terms assembled from powers of the
@@ -24,7 +23,6 @@ import numpy as np
 
 from .dynamics import ExplicitProcess, hop_weight_table
 
-_DENSE_ORACLE_MAX_N = 4000
 # signal values per streamed block of the stationary sampler
 _SIGNAL_CHUNK = 1 << 18
 
@@ -44,33 +42,6 @@ def mixing_matrix(shares, kappa, beta):
     pos = totals > 0.0
     out[pos] = raw[pos] / totals[pos, None]
     return out
-
-
-def vertex_mixing_matrix(labels, shares, kappa, beta):
-    """Dense n x n averaged matrix (small-n test oracle only).
-
-    The K x K reduction used everywhere else is exact for this full
-    matrix, so it is built without excluding the diagonal; the excluded
-    diagonal entry is an O(1/n) correction absorbed by the convergence
-    constants.
-    """
-    labels = np.asarray(labels)
-    n = labels.size
-    if n > _DENSE_ORACLE_MAX_N:
-        raise ValueError(f"dense averaged matrix is a small-n oracle (n <= {_DENSE_ORACLE_MAX_N})")
-    totals = _listening_mass(beta, shares, kappa).sum(axis=1)
-    out = np.zeros((n, n))
-    for r in range(totals.size):
-        rows = labels == r
-        if totals[r] <= 0 or not rows.any():
-            continue
-        out[np.ix_(rows, np.arange(n))] = beta[r, labels] * kappa[labels, r] / (n * totals[r])
-    return out
-
-
-def expand_rows(community_matrix, labels):
-    """Lift a K x ell community matrix to n x ell by label lookup."""
-    return np.asarray(community_matrix)[np.asarray(labels)]
 
 
 def share_mismatch(pi, pi_hat):
@@ -105,17 +76,13 @@ class MeanFieldModel:
 
     mixing: np.ndarray          # limit-share matrix
     mixing_emp: np.ndarray      # empirical-share matrix
-    beta: np.ndarray            # K x K weight means
-    weight_second: np.ndarray   # K x K weight second moments
     signal_mean: np.ndarray     # K x ell, E[external signal | community]
     initial_mean: np.ndarray    # K x ell, E[initial opinion | community]
     no_inbound_prob: np.ndarray  # K,
-    nonzero_rows: np.ndarray    # bool K, rows of the limit matrix with mass
 
 
 def build_meanfield_model(spec, n, theta, census):
     beta = spec.weight_mean_matrix()
-    v = spec.weight_second_moment_matrix()
     pi_hat = np.asarray(census, dtype=float) / n
     M = mixing_matrix(spec.pi, spec.kappa, beta)
     M_emp = mixing_matrix(pi_hat, spec.kappa, beta)
@@ -123,9 +90,8 @@ def build_meanfield_model(spec, n, theta, census):
     W_bar = spec.d * spec.signal_mean_matrix() + spec.c * spec.belief_mean_matrix() * p0[:, None]
     R_bar = spec.init_mean_matrix()
     return MeanFieldModel(
-        mixing=M, mixing_emp=M_emp, beta=beta, weight_second=v,
-        signal_mean=W_bar, initial_mean=R_bar, no_inbound_prob=p0,
-        nonzero_rows=M.sum(axis=1) > 0,
+        mixing=M, mixing_emp=M_emp, signal_mean=W_bar, initial_mean=R_bar,
+        no_inbound_prob=p0,
     )
 
 

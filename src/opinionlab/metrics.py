@@ -26,17 +26,6 @@ from .meanfield import (
 from .parallel import parallel_map
 
 
-def matrix_inf_distance(Xa, Xb):
-    """Max-over-rows l1 distance (the sup operator norm of the difference)."""
-    Xa = np.asarray(Xa, dtype=float)
-    Xb = np.asarray(Xb, dtype=float)
-    if Xa.shape != Xb.shape:
-        raise ValueError(f"shape mismatch: {Xa.shape} vs {Xb.shape}")
-    if Xa.size == 0:
-        return 0.0
-    return float(np.abs(Xa - Xb).sum(axis=-1).max())
-
-
 # ---------------------------------------------------------------------------
 # coupled graph / approximation runs
 
@@ -102,31 +91,51 @@ class ErrorCurve:
     points: list
 
     def by_n(self):
-        """Outer-averaged sup-norm estimates keyed by n."""
-        out = {}
+        """The points of each n reduced over their outer label draws.
+
+        Keyed by n: theta, the total replications, dense_ok on every
+        draw, per-step (estimate, stderr) lists under "inf" and
+        "row_l1", and the sup estimates sup_inf, sup_row with their
+        stderrs.  An estimate is the mean over draws and its stderr the
+        root mean square of theirs over sqrt(draws)."""
+        groups = {}
         for pt in self.points:
-            out.setdefault(pt.n, []).append(pt)
-        return {
-            n: {
+            groups.setdefault(pt.n, []).append(pt)
+        out = {}
+        for n, pts in groups.items():
+            row = {
                 "theta": pts[0].theta,
-                "sup_inf": float(np.mean([p.sup_inf for p in pts])),
-                "sup_row": float(np.mean([p.sup_row for p in pts])),
+                "reps": sum(p.reps for p in pts),
                 "dense_ok": all(p.dense_ok for p in pts),
+                "inf": [_outer_mean([p.inf_estimate[k] for p in pts], [p.inf_se[k] for p in pts])
+                        for k in range(self.k_max + 1)],
+                "row_l1": [_outer_mean([p.row_estimate[k] for p in pts], [p.row_se[k] for p in pts])
+                           for k in range(self.k_max + 1)],
             }
-            for n, pts in out.items()
-        }
+            for key in ("sup_inf", "sup_row"):
+                row[key], row[key + "_se"] = _outer_mean(
+                    [getattr(p, key) for p in pts], [getattr(p, key + "_se") for p in pts])
+            out[n] = row
+        return out
+
+
+def _outer_mean(estimates, ses):
+    """Mean of per-draw estimates and its stderr from the draws' own."""
+    return (float(np.mean(estimates)),
+            float(np.sqrt(np.mean([se**2 for se in ses]) / len(ses))))
 
 
 def error_experiment(spec, n_list, theta_rule, k_max, inner, outer, seed, threads=1):
     """Monte Carlo estimates of both approximation norms on an
-    (n, theta) grid, with the deterministic truncation at k_max
-    reported through the returned curve rather than hidden."""
+    (n, theta) grid, theta = theta_rule(n), with the deterministic
+    truncation at k_max reported through the returned curve rather than
+    hidden."""
     inner_counts = list(inner) if isinstance(inner, (list, tuple, np.ndarray)) else [inner] * len(n_list)
     if any(int(r) < 1 for r in inner_counts):
         raise ValueError("replication budget must be at least 1")
     points = []
     for point_idx, n in enumerate(n_list):
-        theta = float(theta_rule(n)) if callable(theta_rule) else float(theta_rule[point_idx])
+        theta = float(theta_rule(n))
         reps = int(inner_counts[point_idx])
         for o in range(outer):
             labels = sample_labels(spec, n, (seed, point_idx, o))
@@ -410,19 +419,18 @@ class StationarityReport:
 
 
 def stationarity_experiment(spec, n, theta, k_long, inner, tol, seed,
-                            stationary_reps=20000, threads=1, sampler_tol=None):
+                            stationary_reps=20000, threads=1):
     """Compare long-run per-community moments of the graph process with
     Monte Carlo moments of the truncated stationary law.
 
     tol gates the burn-in ((1-d)^k_long must be below it); the stationary
-    sampler truncates at the tighter sampler_tol (default tol / 100) so
-    its truncation bias is negligible next to the burn-in one.
+    sampler truncates at the tighter tol / 100 so its truncation bias is
+    negligible next to the burn-in one.
     """
     if (1.0 - spec.d) ** k_long >= tol:
         raise ValueError(
             f"k_long={k_long} does not burn in to tol={tol}: (1-d)^k = {(1.0 - spec.d) ** k_long:.3g}"
         )
-    sampler_tol = tol * 1e-2 if sampler_tol is None else sampler_tol
     labels = sample_labels(spec, n, (seed, 0))
     census = np.bincount(labels, minlength=spec.K)
     model = build_meanfield_model(spec, n, theta, census)
@@ -441,7 +449,7 @@ def stationarity_experiment(spec, n, theta, k_long, inner, tol, seed,
     firsts = np.array([res[0] for res in results])
     seconds = np.array([res[1] for res in results])
 
-    sampler = StationarySampler(spec, model, sampler_tol)
+    sampler = StationarySampler(spec, model, tol * 1e-2)
     stat_rng = substream(seed, rngmod.STATIONARY)
     rows = []
     for r in range(spec.K):

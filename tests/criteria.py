@@ -21,16 +21,16 @@ import numpy as np
 
 import opinionlab as ol
 from opinionlab.distributions import Point, Uniform, VectorDist
-from opinionlab.dynamics import OpinionState, SignalFrame, hop_weight_table
+from opinionlab.dynamics import OpinionState, SignalFrame, hop_weight_table, iterate
 from opinionlab.graph import InfluenceMatrix
 from opinionlab.meanfield import (
-    build_meanfield_model, deterministic_profile, expand_rows,
-    intermediate_trajectory, meanfield_trajectory, mixing_matrix,
-    share_mismatch, vertex_mixing_matrix,
+    build_meanfield_model, deterministic_profile, intermediate_trajectory,
+    meanfield_trajectory, mixing_matrix, share_mismatch,
 )
 from opinionlab.metrics import ConcentrationCase, burn_in_steps
 from opinionlab.model import ModelSpec
 from opinionlab.rng import INIT, substream
+from oracles import closed_form_state, expand_rows, vertex_mixing_matrix
 
 
 CRITERIA = {}  # criterion number -> criterion function
@@ -85,9 +85,10 @@ def criterion_1():
         labels = ol.sample_labels(spec, n, case)
         graph = ol.sample_graph(spec, labels, float(rng.uniform(1.0, 6.0)), case)
         influence = ol.normalize_weights(graph)
-        _, state, history = ol.simulate(spec, graph, influence, k, case, keep_signals=True)
+        frames = []
+        state = iterate(spec, graph, influence, k, case, lambda state, frame: frames.append(frame))
         R0 = spec.sample_initial(labels, graph.beliefs, substream(case, INIT))
-        oracle = ol.closed_form_state(influence, history, R0, spec.c, spec.d, k)
+        oracle = closed_form_state(influence, frames[1:], R0, spec.c, spec.d, k)
         worst = max(worst, float(np.abs(oracle.R - state.R).max()))
     return worst < 1e-10, f"50 specs, worst entry gap {worst:.2e}"
 
@@ -356,7 +357,7 @@ def criterion_11():
     from conftest import random_spec
 
     C = InfluenceMatrix(matrix=np.eye(2), zero_rows=np.zeros(2, bool))
-    bad = SignalFrame(W=np.full((2, 1), 0.8), Z=None)
+    bad = SignalFrame(W=np.full((2, 1), 0.8))
     try:
         ol.step(OpinionState(R=np.ones((2, 1)), k=0), C, bad, 0.5, 0.5)
         raises = False

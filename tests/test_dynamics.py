@@ -6,13 +6,16 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import opinionlab as ol
-from opinionlab.dynamics import OpinionState, SignalFrame, hop_weight, hop_weight_table, run_graph
+from opinionlab.dynamics import (
+    OpinionState, SignalFrame, hop_weight, hop_weight_table, iterate, run_graph,
+)
 from opinionlab.distributions import Point, Uniform, VectorDist
 from opinionlab.graph import InfluenceMatrix
 from opinionlab.model import ModelSpec
 from opinionlab.rng import INIT, substream
 
 from conftest import random_spec
+from oracles import closed_form_state
 
 
 def csr_influence(mat):
@@ -96,21 +99,10 @@ def test_signal_frame_direct_evaluation():
     assert np.all(np.abs(frame.W).max() <= spec.c + spec.d + 1e-12)
 
 
-def test_signal_frame_per_step_streams():
-    spec = random_spec(40)
-    labels = ol.sample_labels(spec, 20, 4)
-    g = ol.sample_graph(spec, labels, 4.0, 4)
-    f0 = ol.sample_signal_frame(spec, g, 9, k=0)
-    f0_again = ol.sample_signal_frame(spec, g, 9, k=0)
-    f1 = ol.sample_signal_frame(spec, g, 9, k=1)
-    assert np.array_equal(f0.W, f0_again.W)
-    assert not np.array_equal(f0.Z, f1.Z)
-
-
 def test_step_hand_case():
     C = csr_influence([[0.0, 1.0], [1.0, 0.0]])
     state = OpinionState(R=np.array([[1.0], [-1.0]]), k=0)
-    frame = SignalFrame(W=np.zeros((2, 1)), Z=np.zeros((2, 1)))
+    frame = SignalFrame(W=np.zeros((2, 1)))
     out = ol.step(state, C, frame, 0.5, 0.5)
     assert out.R.ravel().tolist() == [-0.5, 0.5]
     assert out.k == 1
@@ -119,7 +111,7 @@ def test_step_hand_case():
 def test_step_no_network_when_c_zero():
     C = csr_influence(np.eye(3))
     R = np.array([[0.5], [-0.25], [0.0]])
-    frame = SignalFrame(W=np.full((3, 1), 0.1), Z=None)
+    frame = SignalFrame(W=np.full((3, 1), 0.1))
     out = ol.step(OpinionState(R=R, k=0), C, frame, 0.0, 0.2)
     assert np.allclose(out.R, 0.1 + 0.8 * R)
 
@@ -129,7 +121,7 @@ def test_step_fixed_point_under_consensus():
     C = csr_influence([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
     R = np.full((3, 2), r)
     # signals consistent with the consensus value: Z = r, no isolated vertices
-    frame = SignalFrame(W=np.full((3, 2), 0.2 * r), Z=None)
+    frame = SignalFrame(W=np.full((3, 2), 0.2 * r))
     out = ol.step(OpinionState(R=R, k=0), C, frame, 0.3, 0.2)
     assert np.allclose(out.R, r)
 
@@ -138,16 +130,16 @@ def test_step_shape_errors():
     C = csr_influence(np.eye(2))
     state = OpinionState(R=np.zeros((2, 1)), k=0)
     with pytest.raises(ValueError):
-        ol.step(state, C, SignalFrame(W=np.zeros((3, 1)), Z=None), 0.3, 0.2)
+        ol.step(state, C, SignalFrame(W=np.zeros((3, 1))), 0.3, 0.2)
     state3 = OpinionState(R=np.zeros((3, 1)), k=0)
     with pytest.raises(ValueError):
-        ol.step(state3, C, SignalFrame(W=np.zeros((3, 1)), Z=None), 0.3, 0.2)
+        ol.step(state3, C, SignalFrame(W=np.zeros((3, 1))), 0.3, 0.2)
 
 
 def test_step_bound_escape_raises():
     C = csr_influence(np.eye(1))
     state = OpinionState(R=np.array([[1.0]]), k=0)
-    bad = SignalFrame(W=np.array([[1.0]]), Z=None)  # inconsistent with the model ranges
+    bad = SignalFrame(W=np.array([[1.0]]))  # inconsistent with the model ranges
     with pytest.raises(RuntimeError):
         ol.step(state, C, bad, 0.5, 0.5)
 
@@ -194,9 +186,10 @@ def test_closed_form_matches_iterated_step(seed):
     g = ol.sample_graph(spec, labels, 3.0, seed)
     C = ol.normalize_weights(g)
     k = 5
-    _, state, history = ol.simulate(spec, g, C, k, seed, keep_signals=True)
+    frames = []
+    state = iterate(spec, g, C, k, seed, lambda state, frame: frames.append(frame))
     R0 = spec.sample_initial(labels, g.beliefs, substream(seed, INIT))
-    oracle = ol.closed_form_state(C, history, R0, spec.c, spec.d, k)
+    oracle = closed_form_state(C, frames[1:], R0, spec.c, spec.d, k)
     assert np.abs(oracle.R - state.R).max() < 1e-10
 
 
@@ -207,11 +200,12 @@ def test_closed_form_c_zero_reduces_to_decayed_signals():
     g = ol.sample_graph(spec, labels, 3.0, 7)
     C = ol.normalize_weights(g)
     k = 4
-    _, state, history = ol.simulate(spec, g, C, k, 7, keep_signals=True)
+    frames = []
+    state = iterate(spec, g, C, k, 7, lambda state, frame: frames.append(frame))
     R0 = spec.sample_initial(labels, g.beliefs, substream(7, INIT))
     expected = (1 - spec.d) ** k * R0
     for t in range(k):
-        expected = expected + (1 - spec.d) ** t * history[k - t - 1].W
+        expected = expected + (1 - spec.d) ** t * frames[k - t].W
     assert np.abs(expected - state.R).max() < 1e-12
 
 
@@ -245,7 +239,8 @@ def test_dynamics_never_build_c(monkeypatch):
     run_graph(spec, labels, 6.0, 4, 5, lambda state, frame: None)
     g = ol.sample_graph(spec, labels, 6.0, 5)
     C = ol.normalize_weights(g)
-    _, state, history = ol.simulate(spec, g, C, 4, 5, keep_signals=True)
+    frames = []
+    state = iterate(spec, g, C, 4, 5, lambda state, frame: frames.append(frame))
     R0 = spec.sample_initial(labels, g.beliefs, substream(5, INIT))
-    oracle = ol.closed_form_state(C, history, R0, spec.c, spec.d, 4)
+    oracle = closed_form_state(C, frames[1:], R0, spec.c, spec.d, 4)
     assert np.abs(oracle.R - state.R).max() < 1e-10

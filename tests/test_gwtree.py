@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 import opinionlab as ol
 from opinionlab import gwtree
 from opinionlab.distributions import Mixture, Point, Uniform, VectorDist, sample_by_label
-from opinionlab.gwtree import GWTree, TreeBudgetError, TreeLevel, _empty_level
+from opinionlab.gwtree import TreeBudgetError
 from opinionlab.model import ModelSpec
 
 from conftest import random_spec
+from oracles import GWTree, TreeLevel, path_weight_sum, sample_tree, weighted_generation_sum
 
 
 def one_type_spec(weight=Point(1.0), belief=Uniform(-1, 1)):
@@ -33,11 +34,11 @@ def test_offspring_means_matrix():
 
 def test_zero_rate_tree_is_root_only():
     spec = one_type_spec()
-    tree = ol.sample_tree(spec, 0, np.array([[0.0]]), 3, 1)
+    tree = sample_tree(spec, 0, np.array([[0.0]]), 3, 1)
     assert [lv.types.size for lv in tree.levels] == [1, 0, 0, 0]
     for s in range(1, 4):
-        assert ol.path_weight_sum(tree, s) == 0.0
-    assert ol.path_weight_sum(tree, 0) == 1.0
+        assert path_weight_sum(tree, s) == 0.0
+    assert path_weight_sum(tree, 0) == 1.0
 
 
 def test_root_offspring_poisson_mean():
@@ -46,7 +47,7 @@ def test_root_offspring_poisson_mean():
     reps = 10_000
     rng = np.random.default_rng(3)
     for _ in range(reps):
-        tree = ol.sample_tree(spec, 0, np.array([[3.0]]), 1, rng)
+        tree = sample_tree(spec, 0, np.array([[3.0]]), 1, rng)
         totals += tree.levels[1].types.size
     mean = totals / reps
     se = np.sqrt(3.0 / reps)
@@ -56,7 +57,7 @@ def test_root_offspring_poisson_mean():
 def test_offspring_census_bookkeeping():
     spec = random_spec(4, K=2)
     q = ol.offspring_means(spec, spec.pi, 3.0)
-    tree = ol.sample_tree(spec, 1, q, 2, 9)
+    tree = sample_tree(spec, 1, q, 2, 9)
     for level_idx in (0, 1):
         level = tree.levels[level_idx]
         child = tree.levels[level_idx + 1]
@@ -68,48 +69,38 @@ def test_offspring_census_bookkeeping():
 def test_path_weights_multiply_along_branches():
     spec = random_spec(5, K=2)
     q = ol.offspring_means(spec, spec.pi, 2.5)
-    tree = ol.sample_tree(spec, 0, q, 3, 11)
+    tree = sample_tree(spec, 0, q, 3, 11)
     for s in range(1, 4):
         level = tree.levels[s]
         parent_paths = tree.levels[s - 1].path_weight
         assert np.allclose(level.path_weight, parent_paths[level.parent] * level.norm_weight)
-        total = ol.path_weight_sum(tree, s)
+        total = path_weight_sum(tree, s)
         assert -1e-12 <= total <= 1.0 + 1e-12
 
 
 def test_zero_weight_atoms_zero_the_subtree():
     spec = one_type_spec(weight=Point(0.0))
-    tree = ol.sample_tree(spec, 0, np.array([[4.0]]), 2, 7)
+    tree = sample_tree(spec, 0, np.array([[4.0]]), 2, 7)
     if tree.levels[1].types.size:
         assert np.all(tree.levels[1].norm_weight == 0.0)
-        assert ol.path_weight_sum(tree, 1) == 0.0
+        assert path_weight_sum(tree, 1) == 0.0
 
 
 def test_budget_guard_raises_with_expected_size():
     spec = one_type_spec()
     with pytest.raises(TreeBudgetError) as err:
-        ol.sample_tree(spec, 0, np.array([[50.0]]), 5, 1, node_budget=10_000)
+        sample_tree(spec, 0, np.array([[50.0]]), 5, 1, node_budget=10_000)
     assert err.value.expected == pytest.approx(50.0**5)
-
-
-def test_ancestry_addresses():
-    spec = one_type_spec()
-    tree = ol.sample_tree(spec, 0, np.array([[2.0]]), 2, 21)
-    lv2 = tree.levels[2]
-    for i in range(lv2.types.size):
-        addr = tree.ancestry(2, i)
-        assert len(addr) == 2
-        assert all(part >= 1 for part in addr)
 
 
 def test_generation_sum_cases():
     spec = one_type_spec()
-    tree = ol.sample_tree(spec, 0, np.array([[3.0]]), 2, 5)
+    tree = sample_tree(spec, 0, np.array([[3.0]]), 2, 5)
     # constant values: the sum collapses to the total path weight
-    total = ol.weighted_generation_sum(tree, 2, np.array([1.0]))
-    assert total == pytest.approx(ol.path_weight_sum(tree, 2))
+    total = weighted_generation_sum(tree, 2, np.array([1.0]))
+    assert total == pytest.approx(path_weight_sum(tree, 2))
     # generation zero returns the root value
-    assert ol.weighted_generation_sum(tree, 0, np.array([0.7])) == pytest.approx(0.7)
+    assert weighted_generation_sum(tree, 0, np.array([0.7])) == pytest.approx(0.7)
 
 
 def test_generation_sum_single_chain_hand_trace():
@@ -126,28 +117,28 @@ def test_generation_sum_single_chain_hand_trace():
                   offspring=np.array([[0]])),
     ]
     tree = GWTree(root_type=0, depth=2, levels=levels)
-    assert ol.weighted_generation_sum(tree, 2, np.array([0.7])) == pytest.approx(0.7)
+    assert weighted_generation_sum(tree, 2, np.array([0.7])) == pytest.approx(0.7)
 
 
 def test_generation_sum_linear_in_values():
     spec = random_spec(6, K=2)
     q = ol.offspring_means(spec, spec.pi, 2.0)
-    tree = ol.sample_tree(spec, 0, q, 2, 3)
+    tree = sample_tree(spec, 0, q, 2, 3)
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, size=2)
     y = rng.uniform(-1, 1, size=2)
     a, b = 0.3, -0.7
-    lhs = ol.weighted_generation_sum(tree, 2, a * x + b * y)
-    rhs = a * ol.weighted_generation_sum(tree, 2, x) + b * ol.weighted_generation_sum(tree, 2, y)
+    lhs = weighted_generation_sum(tree, 2, a * x + b * y)
+    rhs = a * weighted_generation_sum(tree, 2, x) + b * weighted_generation_sum(tree, 2, y)
     assert lhs == pytest.approx(rhs)
 
 
 def test_generation_sum_per_node_values():
     spec = one_type_spec()
-    tree = ol.sample_tree(spec, 0, np.array([[4.0]]), 1, 13)
+    tree = sample_tree(spec, 0, np.array([[4.0]]), 1, 13)
     m = tree.levels[1].types.size
     vals = np.linspace(-1, 1, max(m, 1))[:m]
-    out = ol.weighted_generation_sum(tree, 1, vals)
+    out = weighted_generation_sum(tree, 1, vals)
     assert out == pytest.approx(float(tree.levels[1].path_weight @ vals))
 
 
@@ -214,10 +205,10 @@ def test_k2_batch_sums_match_materialized_trees_in_distribution():
     rng = np.random.default_rng(23)
     direct = np.empty((1500, 2))
     for i in range(1500):
-        tree = ol.sample_tree(spec, 1, q, 2, rng)
+        tree = sample_tree(spec, 1, q, 2, rng)
         for s in (1, 2):
             node_vals = sample_by_label(values, tree.levels[s].types, rng)
-            direct[i, s - 1] = ol.weighted_generation_sum(tree, s, node_vals)
+            direct[i, s - 1] = weighted_generation_sum(tree, s, node_vals)
     se = np.hypot(batch.std(0, ddof=1) / np.sqrt(4000), direct.std(0, ddof=1) / np.sqrt(1500))
     assert np.all(np.abs(batch.mean(0) - direct.mean(0)) < 4 * se)
 
@@ -232,10 +223,10 @@ def test_k1_batch_sums_match_materialized_trees_in_distribution(weight):
     rng = np.random.default_rng(43)
     direct = np.empty((1500, 2))
     for i in range(1500):
-        tree = ol.sample_tree(spec, 0, q, 2, rng)
+        tree = sample_tree(spec, 0, q, 2, rng)
         for s in (1, 2):
             node_vals = values[0].sample(rng, size=tree.levels[s].types.size)
-            direct[i, s - 1] = ol.weighted_generation_sum(tree, s, node_vals)
+            direct[i, s - 1] = weighted_generation_sum(tree, s, node_vals)
     for power in (1, 2):
         x, y = batch**power, direct**power
         se = np.hypot(x.std(0, ddof=1) / np.sqrt(4000), y.std(0, ddof=1) / np.sqrt(1500))
@@ -409,10 +400,10 @@ def test_path_weight_sums_bounded_random_specs(seed):
     spec = random_spec(seed, allow_zero_rows=True)
     q = ol.offspring_means(spec, spec.pi, 2.0)
     root = int(np.random.default_rng(seed).integers(0, spec.K))
-    tree = ol.sample_tree(spec, root, q, 3, seed)
+    tree = sample_tree(spec, root, q, 3, seed)
     prev = 1.0
     for s in range(4):
-        total = ol.path_weight_sum(tree, s)
+        total = path_weight_sum(tree, s)
         assert -1e-12 <= total <= prev + 1e-12  # generation mass never grows
         prev = total
 

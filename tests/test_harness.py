@@ -344,6 +344,9 @@ def test_record_id_not_below_n_rejected_at_run(tmp_path, capsys):
     (make_config("chaos", "vertex_sets = -1"), "vertex_sets"),
     (make_config("simulate", "record = 0 120"), "record"),
     (make_config("error") + "model.fixed_composition = ture\n", "model.fixed_composition"),
+    (make_config("error").replace("n_grid = 120", "n_grid = 1 120")
+     .replace("const:10", "loglog:3"), "theta"),
+    (make_config("stationary", "k_max = 2\nburn_tol = 1e-4"), "k_max"),  # 0.75^2 >= 1e-4
 ])
 def test_cli_malformed_value_is_config_error(tmp_path, capsys, text, key):
     cfg_path = tmp_path / "bad.cfg"
@@ -360,3 +363,23 @@ def test_cli_negative_seed_flag_is_config_error(tmp_path, capsys, command):
     assert main(argv) == EXIT_CONFIG
     assert "config error: seed" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_stationary_short_k_max_exits_before_any_graph(tmp_path, capsys, monkeypatch):
+    # the config's own kind is error, so only the stationary command sees the short run
+    cfg_path = tmp_path / "short.cfg"
+    cfg_path.write_text(make_config("error", "k_max = 2\nburn_tol = 1e-4"))
+    assert main(["validate", "--config", str(cfg_path)]) == EXIT_OK
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was drawn")
+
+    import opinionlab.dynamics
+    import opinionlab.metrics
+
+    monkeypatch.setattr(opinionlab.metrics, "sample_labels", no_graph)
+    monkeypatch.setattr(opinionlab.dynamics, "sample_graph", no_graph)
+    out = tmp_path / "o"
+    assert main(["stationary", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: k_max" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()

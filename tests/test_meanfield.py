@@ -9,14 +9,14 @@ import opinionlab as ol
 from opinionlab import meanfield
 from opinionlab.distributions import Mixture, Point, ScaledBeta, Uniform, VectorDist
 from opinionlab.meanfield import (
-    build_meanfield_model, deterministic_profile, expand_rows,
-    intermediate_trajectory, meanfield_trajectory, mixing_matrix,
-    no_inbound_prob, share_mismatch, stationary_horizon, vertex_mixing_matrix,
-    StationarySampler,
+    build_meanfield_model, deterministic_profile, intermediate_trajectory,
+    meanfield_trajectory, mixing_matrix, no_inbound_prob, share_mismatch,
+    stationary_horizon, StationarySampler,
 )
 from opinionlab.model import ModelSpec
 
 from conftest import random_spec
+from oracles import expand_rows, vertex_mixing_matrix
 
 
 def test_mixing_single_community_is_one():

@@ -16,19 +16,6 @@ from opinionlab.model import ModelSpec
 from conftest import random_spec
 
 
-def test_matrix_inf_distance_cases():
-    X = np.array([[0.1, -0.2], [0.3, 0.4]])
-    assert ol.matrix_inf_distance(X, X) == 0.0
-    Y = X.copy()
-    Y[0, 1] += 0.05
-    assert ol.matrix_inf_distance(X, Y) == pytest.approx(0.05)
-    A = np.array([[1.0, -1.0], [0.5, 0.5]])
-    B = np.array([[0.0, 0.0], [1.0, 0.0]])
-    assert ol.matrix_inf_distance(A, B) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        ol.matrix_inf_distance(np.zeros((2, 2)), np.zeros((3, 2)))
-
-
 def test_burn_in_steps():
     k = burn_in_steps(0.2)
     assert (1 - 0.2) ** k < 0.01 <= (1 - 0.2) ** (k - 1)
@@ -125,7 +112,14 @@ def test_error_curve_by_n_aggregates():
     curve = ol.error_experiment(spec, [40, 80], lambda n: 5.0, 5, 3, 2, 11)
     agg = curve.by_n()
     assert set(agg) == {40, 80}
-    assert all("sup_inf" in row for row in agg.values())
+    for n, row in agg.items():
+        pts = [pt for pt in curve.points if pt.n == n]
+        assert row["reps"] == 3 * 2
+        assert len(row["inf"]) == len(row["row_l1"]) == curve.k_max + 1
+        assert row["inf"][2][0] == pytest.approx(np.mean([pt.inf_estimate[2] for pt in pts]))
+        assert row["sup_row"] == pytest.approx(np.mean([pt.sup_row for pt in pts]))
+        assert row["sup_inf_se"] == pytest.approx(
+            np.sqrt(np.mean([pt.sup_inf_se**2 for pt in pts]) / 2))
 
 
 def test_error_experiment_threads_do_not_change_results():
