@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from opinionlab.config import ConfigError, parse_config, serialize_config, theta_value
+from opinionlab.config import (
+    ConfigError, parse_config, serialize_config, stationary_k_long, theta_value,
+)
+from opinionlab.metrics import burn_in_steps
 
 MINIMAL = """
 kind = error
@@ -62,6 +65,19 @@ def test_bad_shares_reported_with_key_path():
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert any("model.pi" in p for p in err.value.problems)
+
+
+def test_stationary_k_long_burn_in_boundary():
+    cfg = parse_config(MINIMAL + "model.d = 0.25\nburn_tol = 1e-4\n")
+    k_burn = burn_in_steps(0.25, 1e-4)
+    assert stationary_k_long(cfg) == k_burn
+    assert 0.75**k_burn < 1e-4 <= 0.75 ** (k_burn - 1)
+    cfg.k_max = k_burn + 5
+    assert stationary_k_long(cfg) == k_burn + 5
+    cfg.k_max = k_burn - 1
+    with pytest.raises(ConfigError) as err:
+        stationary_k_long(cfg)
+    assert any(p.startswith("k_max:") for p in err.value.problems)
 
 
 def test_all_violations_collected():

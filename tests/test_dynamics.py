@@ -12,7 +12,7 @@ from opinionlab.dynamics import (
 from opinionlab.distributions import Point, Uniform, VectorDist
 from opinionlab.graph import InfluenceMatrix
 from opinionlab.model import ModelSpec
-from opinionlab.rng import INIT, substream
+from opinionlab.rng import INIT, SIGNALS, substream
 
 from conftest import random_spec
 from oracles import closed_form_state
@@ -97,6 +97,24 @@ def test_signal_frame_direct_evaluation():
     frame = ol.sample_signal_frame(spec, g, 5)
     assert np.allclose(frame.W, [[0.2, -0.2]] * 3)
     assert np.all(np.abs(frame.W).max() <= spec.c + spec.d + 1e-12)
+
+
+def test_signal_frame_seed_and_running_generator():
+    spec = random_spec(40)
+    labels = ol.sample_labels(spec, 20, 4)
+    g = ol.sample_graph(spec, labels, 4.0, 4)
+    # an int seed draws the first frame of the (seed, SIGNALS) stream
+    first = ol.sample_signal_frame(spec, g, 9)
+    assert np.array_equal(first.W, ol.sample_signal_frame(spec, g, substream(9, SIGNALS)).W)
+    # a running generator yields the frames iterate applies, in step order
+    rng = substream(9, SIGNALS)
+    drawn = [ol.sample_signal_frame(spec, g, rng).W for _ in range(3)]
+    seen = []
+    iterate(spec, g, ol.normalize_weights(g), 3, 9,
+            lambda state, frame: frame is not None and seen.append(frame.W))
+    assert np.array_equal(drawn[0], first.W)
+    assert all(np.array_equal(a, b) for a, b in zip(drawn, seen, strict=True))
+    assert not np.array_equal(drawn[0], drawn[1])
 
 
 def test_step_hand_case():
