@@ -34,13 +34,15 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .distributions import parse_scalar, parse_vector, DistributionError
-from .metrics import burn_in_steps, parse_function
+from .distributions import DistributionError, parse_scalar, parse_vector, supported_in
+from .metrics import burn_in_steps, check_burned_in, parse_function
 from .model import ModelSpec
 
 KINDS = ("simulate", "meanfield", "error", "chaos", "stationary", "concentration", "tree")
 
 THETA_RULES = ("const", "log", "loglog", "pow", "linear")
+# kinds that run one graph size
+SINGLE_SIZE_KINDS = ("simulate", "meanfield", "chaos", "stationary")
 # the chaos kind's vertex sets when the config lists none
 DEFAULT_VERTEX_SETS = [[0]]
 
@@ -118,10 +120,20 @@ def stationary_k_long(cfg):
     burn_tol.  Raises ConfigError unless (1-d)^k_long is below burn_tol."""
     d, tol = cfg.model.d, cfg.burn_tol
     k_long = cfg.k_max if cfg.k_max > 0 else burn_in_steps(d, tol)
-    if (1.0 - d) ** k_long >= tol:
-        raise ConfigError(f"k_max: {k_long} steps do not burn in to burn_tol={tol}: "
-                          f"(1-d)^k = {(1.0 - d) ** k_long:.3g}")
+    try:
+        check_burned_in(d, k_long, tol)
+    except ValueError as exc:
+        raise ConfigError(f"k_max: {exc}") from None
     return k_long
+
+
+def graph_size(cfg):
+    """The one graph size of a kind in SINGLE_SIZE_KINDS.  Raises
+    ConfigError when n_grid lists more than one."""
+    if len(cfg.n_grid) > 1:
+        raise ConfigError(f"n_grid: kind {cfg.kind} runs one graph size, "
+                          f"got {len(cfg.n_grid)}: {' '.join(map(str, cfg.n_grid))}")
+    return cfg.n_grid[0]
 
 
 def _flatten_json(obj, prefix=""):
@@ -343,7 +355,7 @@ def parse_config(text):
     vertex_sets = listed(
         "vertex_sets", "", lambda txt: [ints(part) for part in txt.split(";") if part.strip()]
     )
-    # simulate records and chaos samples vertices of the first graph size
+    # simulate records and chaos samples vertices of its one graph size
     for key, ids in (("record", record), ("vertex_sets", [v for vs in vertex_sets for v in vs])):
         if any(v < 0 for v in ids):
             problems.append(f"{key}: vertex ids must be >= 0, got {min(ids)}")
@@ -370,12 +382,15 @@ def parse_config(text):
             except ValueError as exc:
                 problems.append(f"{key}: {exc}")
     conc = {}
-    for key in ("conc_weight", "conc_value"):
+    for key, lo, hi in (("conc_weight", 0.0, model.H), ("conc_value", -1.0, 1.0)):
         conc[key] = take(key, _DEFAULTS[key])
         try:
-            parse_scalar(conc[key])
+            law = parse_scalar(conc[key])
         except ValueError as exc:
             problems.append(f"{key}: {exc}")
+            continue
+        if not supported_in(law, lo, hi):
+            problems.append(f"{key}: support outside [{lo:g}, {hi:g}]")
     eps_grid = listed("eps_grid", "0.1 0.2 0.5", _parse_vector_field)
     count_means = listed("count_means", "50", _parse_vector_field)
     for key, vals in (("eps_grid", eps_grid), ("count_means", count_means)):
@@ -404,6 +419,11 @@ def parse_config(text):
         conc_value=conc["conc_value"],
         record=record,
     )
+    if kind in SINGLE_SIZE_KINDS and n_grid:
+        try:
+            graph_size(cfg)
+        except ConfigError as exc:
+            problems.extend(exc.problems)
     if kind == "stationary" and not problems:
         try:
             stationary_k_long(cfg)

@@ -35,6 +35,7 @@ import numpy as np
 from . import rng as rngmod
 from .rng import substream
 from .distributions import Point, Uniform
+from .metrics import mean_se
 from .parallel import parallel_map
 
 NODE_BUDGET = 1_000_000
@@ -331,9 +332,7 @@ def a_s_profile(spec, root_type, s_max, value_dists, q, mixing, replications, se
     for s in range(1, s_max + 1):
         power = mixing @ power
         target = float((power @ means)[root_type])
-        devs = np.abs(sums[:, s - 1] - target)
-        ests[s - 1] = devs.mean()
-        ses[s - 1] = devs.std(ddof=1) / np.sqrt(replications) if replications > 1 else 0.0
+        ests[s - 1], ses[s - 1] = mean_se(np.abs(sums[:, s - 1] - target))
     return ests, ses
 
 

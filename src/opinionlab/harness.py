@@ -23,16 +23,17 @@ from . import __version__
 from . import rng as rngmod
 from .rng import substream
 from .config import (
-    DEFAULT_VERTEX_SETS, ConfigError, serialize_config, stationary_k_long, theta_value,
+    DEFAULT_VERTEX_SETS, ConfigError, graph_size, serialize_config, stationary_k_long,
+    theta_value,
 )
 from .distributions import parse_scalar
 from .graph import normalize_weights, sample_graph, sample_labels
 from .dynamics import simulate
-from .meanfield import build_meanfield_model, mixing_matrix, regime_stats
+from .meanfield import mixing_matrix, regime_stats
 from .gwtree import a_s_profile, neighborhood_diagnostic, offspring_means
 from .metrics import (
     ConcentrationCase, burn_in_steps, chaos_experiment, concentration_check,
-    error_experiment, stationarity_experiment,
+    error_experiment, label_point, stationarity_experiment,
 )
 
 EXIT_OK = 0
@@ -167,7 +168,7 @@ def _run_error(cfg, out):
 
 
 def _run_chaos(cfg, out):
-    n = cfg.n_grid[0]
+    n = graph_size(cfg)
     theta = theta_value(cfg.theta_rule, n)
     vertex_sets = cfg.vertex_sets or DEFAULT_VERTEX_SETS
     functions = cfg.functions or [["proj:0,%d" % cfg.k] * len(vs) for vs in vertex_sets]
@@ -203,7 +204,7 @@ def _run_chaos(cfg, out):
 
 
 def _run_stationary(cfg, out):
-    n = cfg.n_grid[0]
+    n = graph_size(cfg)
     theta = theta_value(cfg.theta_rule, n)
     k_long = stationary_k_long(cfg)
     report = stationarity_experiment(
@@ -301,7 +302,7 @@ def _run_tree(cfg, out):
 
 def _run_simulate(cfg, out):
     spec = cfg.model
-    n = cfg.n_grid[0]
+    n = graph_size(cfg)
     theta = theta_value(cfg.theta_rule, n)
     k_max = _k_max(cfg)
     rows = []
@@ -323,11 +324,9 @@ def _run_simulate(cfg, out):
 
 def _run_meanfield(cfg, out):
     spec = cfg.model
-    n = cfg.n_grid[0]
+    n = graph_size(cfg)
     theta = theta_value(cfg.theta_rule, n)
-    labels = sample_labels(spec, n, (cfg.seed, 0))
-    census = np.bincount(labels, minlength=spec.K)
-    model = build_meanfield_model(spec, n, theta, census)
+    _, census, model, _ = label_point(spec, n, theta, (cfg.seed, 0))
     stats = regime_stats(spec, census / n, n, theta)
     report = {
         "n": n,

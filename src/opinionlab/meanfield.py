@@ -64,9 +64,13 @@ def no_inbound_prob(spec, n, theta, census):
         p = np.minimum(spec.kappa[:, r] * theta / n, 1.0)
         exponents = census.astype(float).copy()
         exponents[r] = max(exponents[r] - 1.0, 0.0)  # no self-loops
+        # only communities holding possible sources enter: a zero count times
+        # log1p(-1) = -inf would be NaN
+        live = exponents > 0
+        log_terms = np.zeros(spec.K)
         with np.errstate(divide="ignore"):
-            log_terms = np.where(p < 1.0, np.log1p(-p) * exponents, -np.inf * (exponents > 0))
-        out[r] = math.exp(float(np.sum(np.where(exponents > 0, log_terms, 0.0))))
+            log_terms[live] = np.log1p(-p[live]) * exponents[live]
+        out[r] = math.exp(float(np.sum(log_terms)))
     return out
 
 

@@ -1,10 +1,10 @@
 """Error norms, chaos statistics and concentration checks.
 
-Every experiment here follows the same two-level sampling design: the
-label vector is drawn once per outer replication and held fixed while
-graphs, weights, signals and initial opinions are redrawn inside, which
-estimates label-conditional expectations; the outer loop over label
-draws probes the remaining convergence-in-probability layer.
+Every graph experiment is label_point (one label draw, held fixed),
+then parallel_map over run_graph replicas, which estimates
+label-conditional expectations, then mean_se over the stacked replica
+results.  The error kind's outer loop over label draws probes the
+remaining convergence-in-probability layer.
 
 Coupling is always on: the graph run and its explicit approximation
 consume the identical per-vertex signal frames and initial opinions.
@@ -12,6 +12,7 @@ consume the identical per-vertex signal frames and initial opinions.
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -27,10 +28,50 @@ from .parallel import parallel_map
 
 
 # ---------------------------------------------------------------------------
+# shared pieces: one label draw, one standard-error estimator
+
+
+def label_point(spec, n, theta, seed, k_max=None):
+    """One grid point's label draw: (labels, census, model, profile),
+    the profile running to step k_max, or None when k_max is not given."""
+    labels = sample_labels(spec, n, seed)
+    census = np.bincount(labels, minlength=spec.K)
+    model = build_meanfield_model(spec, n, theta, census)
+    profile = None if k_max is None else deterministic_profile(
+        model.mixing, model.signal_mean, model.initial_mean, spec.c, spec.d, k_max)
+    return labels, census, model, profile
+
+
+def mean_se(samples):
+    """Mean over axis 0 (one entry per replica) and its standard error,
+    std(ddof=1) / sqrt(reps); the error is zero for a single replica."""
+    samples = np.asarray(samples, dtype=float)
+    reps = samples.shape[0]
+    se = samples.std(axis=0, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros(samples.shape[1:])
+    return samples.mean(axis=0), se
+
+
+def burn_in_steps(d, frac=0.01):
+    """Steps until the memory of the initial condition is below frac."""
+    if d >= 1.0:
+        return 1
+    return max(int(math.ceil(math.log(frac) / math.log(1.0 - d))), 1)
+
+
+def check_burned_in(d, k_long, tol):
+    """Raise ValueError unless k_long steps burn in to tol: the memory
+    (1-d)^k_long of the initial condition must be below it."""
+    memory = (1.0 - d) ** k_long
+    if memory >= tol:
+        raise ValueError(f"{k_long} steps do not burn in to burn_tol={tol}: "
+                         f"(1-d)^k = {memory:.3g}")
+
+
+# ---------------------------------------------------------------------------
 # coupled graph / approximation runs
 
 
-def coupled_gap_run(spec, labels, theta, k_max, seed, profile, census=None):
+def coupled_gap_run(spec, labels, theta, k_max, seed, profile, census):
     """One inner replication of the coupled pair of processes.
 
     Returns (inf_norms, community_gaps): the per-step sup-norm gap, and
@@ -42,8 +83,6 @@ def coupled_gap_run(spec, labels, theta, k_max, seed, profile, census=None):
     the upward bias of maxing noisy per-vertex means.
     """
     labels = np.asarray(labels)
-    if census is None:
-        census = np.bincount(labels, minlength=spec.K)
     inf_norms = np.zeros(k_max + 1)
     community_gaps = np.zeros((k_max + 1, spec.K))
     denom = np.maximum(census, 1)
@@ -133,17 +172,13 @@ def error_experiment(spec, n_list, theta_rule, k_max, inner, outer, seed, thread
     inner_counts = list(inner) if isinstance(inner, (list, tuple, np.ndarray)) else [inner] * len(n_list)
     if any(int(r) < 1 for r in inner_counts):
         raise ValueError("replication budget must be at least 1")
+    steps = np.arange(k_max + 1)
     points = []
     for point_idx, n in enumerate(n_list):
         theta = float(theta_rule(n))
         reps = int(inner_counts[point_idx])
         for o in range(outer):
-            labels = sample_labels(spec, n, (seed, point_idx, o))
-            census = np.bincount(labels, minlength=spec.K)
-            model = build_meanfield_model(spec, n, theta, census)
-            profile = deterministic_profile(
-                model.mixing, model.signal_mean, model.initial_mean, spec.c, spec.d, k_max
-            )
+            labels, census, _, profile = label_point(spec, n, theta, (seed, point_idx, o), k_max)
             stats = regime_stats(spec, census / n, n, theta)
 
             def unit(i):
@@ -151,21 +186,9 @@ def error_experiment(spec, n_list, theta_rule, k_max, inner, outer, seed, thread
                                        profile, census=census)
 
             results = parallel_map(unit, range(reps), threads=threads)
-            inf_sum = np.zeros(k_max + 1)
-            inf_sq = np.zeros(k_max + 1)
-            row_sum = np.zeros((k_max + 1, spec.K))
-            row_sq = np.zeros((k_max + 1, spec.K))
-            for inf_norms, community_gaps in results:
-                inf_sum += inf_norms
-                inf_sq += inf_norms**2
-                row_sum += community_gaps
-                row_sq += community_gaps**2
-            inf_mean = inf_sum / reps
-            inf_se = _se(inf_sum, inf_sq, reps)
-            row_mean = row_sum / reps
-            row_se_all = _se(row_sum, row_sq, reps)
+            inf_mean, inf_se = mean_se([inf_norms for inf_norms, _ in results])
+            row_mean, row_se_all = mean_se([gaps for _, gaps in results])
             row_arg = row_mean.argmax(axis=1)
-            steps = np.arange(k_max + 1)
             row_est = row_mean[steps, row_arg]
             row_se = row_se_all[steps, row_arg]
             k_inf = int(inf_mean.argmax())
@@ -184,20 +207,6 @@ def error_experiment(spec, n_list, theta_rule, k_max, inner, outer, seed, thread
     return ErrorCurve(k_max=k_max, points=points)
 
 
-def _se(total, total_sq, reps):
-    if reps < 2:
-        return np.zeros_like(np.asarray(total, dtype=float))
-    var = (total_sq - total**2 / reps) / (reps - 1)
-    return np.sqrt(np.maximum(var, 0.0) / reps)
-
-
-def burn_in_steps(d, frac=0.01):
-    """Steps until the memory of the initial condition is below frac."""
-    if d >= 1.0:
-        return 1
-    return max(int(math.ceil(math.log(frac) / math.log(1.0 - d))), 1)
-
-
 # ---------------------------------------------------------------------------
 # bounded test functions on trajectory matrices
 
@@ -205,7 +214,6 @@ def burn_in_steps(d, frac=0.01):
 @dataclass(frozen=True)
 class TestFunction:
     fid: str
-    bound: float
     _fn: object
 
     def __call__(self, V):
@@ -228,20 +236,20 @@ def parse_function(fid, ell, k):
     if kind == "proj" and len(args) == 2:
         topic, time = args
         check(topic, time)
-        return TestFunction(fid, 1.0, lambda V: V[..., topic, time])
+        return TestFunction(fid, lambda V: V[..., topic, time])
     if kind == "prod" and len(args) == 4:
         t1, m1, t2, m2 = args
         check(t1, m1)
         check(t2, m2)
-        return TestFunction(fid, 1.0, lambda V: V[..., t1, m1] * V[..., t2, m2])
+        return TestFunction(fid, lambda V: V[..., t1, m1] * V[..., t2, m2])
     if kind == "poly" and len(args) == 3:
         topic, time, degree = args
         check(topic, time)
         if degree < 1:
             raise ValueError(f"function {fid!r} needs degree >= 1")
-        return TestFunction(fid, 1.0, lambda V: np.clip(V[..., topic, time] ** degree, -1.0, 1.0))
+        return TestFunction(fid, lambda V: np.clip(V[..., topic, time] ** degree, -1.0, 1.0))
     if kind == "one":
-        return TestFunction(fid, 1.0, lambda V: np.ones(V.shape[:-2]))
+        return TestFunction(fid, lambda V: np.ones(V.shape[:-2]))
     raise ValueError(f"unknown test function id {fid!r}")
 
 
@@ -261,17 +269,12 @@ def limit_trajectory_draws(spec, model, profile, community, k, reps, rng):
     return np.stack([R0] + steps, axis=2)
 
 
-def _mean_se(samples):
-    """Sample mean and its standard error (0 for a single sample)."""
-    se = samples.std(ddof=1) / math.sqrt(samples.size) if samples.size > 1 else 0.0
-    return float(samples.mean()), float(se)
-
-
-def _product_row(vertices, communities, funcs, graph_samples, limit_factors):
+def _product_row(vertices, columns, funcs, labels, graph_samples, limit_draws):
     """Graph estimate of a product moment against the product of the limit
     factor means, its standard error propagated to first order."""
-    graph_est, graph_se = _mean_se(graph_samples)
-    means, ses = zip(*(_mean_se(vals) for vals in limit_factors))
+    communities = tuple(int(labels[col[0]]) for col in columns)
+    graph_est, graph_se = map(float, mean_se(graph_samples))
+    means, ses = zip(*(mean_se(f(limit_draws[r])) for r, f in zip(communities, funcs)))
     limit_prod = float(np.prod(means))
     var = 0.0
     for j, s_j in enumerate(ses):
@@ -297,41 +300,35 @@ class ChaosReport:
 def chaos_experiment(spec, n, theta, k, vertex_sets, set_functions, inner, seed,
                      measure_functions=(), limit_reps=4000, threads=1,
                      pooled_pairs=(), pooled_functions=()):
-    """Estimate both sides of the trajectory factorization for fixed
-    vertex sets, and the per-community empirical-measure functionals.
+    """Estimate both sides of the trajectory factorization for vertex
+    sets, and the per-community empirical-measure functionals.
 
-    pooled_pairs lists community pairs (r1, r2); for each, the joint
-    moment is additionally estimated by averaging the pair product over
-    disjoint fixed (community-r1, community-r2) vertex pairs.  Vertices
-    sharing a label are exchangeable given the labels, so every such
-    pair has the same joint moment and the pooled average estimates the
-    identical quantity with far less Monte Carlo noise.
+    A product row holds equal-length vertex columns, one per factor, and
+    its sample is the mean over rows of the product of the factors.  A
+    fixed vertex set is a pool of one row.  pooled_pairs lists community
+    pairs (r1, r2); each pools disjoint fixed (community-r1,
+    community-r2) vertex pairs.  Vertices sharing a label are
+    exchangeable given the labels, so every such pair has the same joint
+    moment and the pooled average estimates the identical quantity with
+    far less Monte Carlo noise.
     """
-    labels = sample_labels(spec, n, (seed, 0))
-    census = np.bincount(labels, minlength=spec.K)
-    model = build_meanfield_model(spec, n, theta, census)
-    profile = deterministic_profile(
-        model.mixing, model.signal_mean, model.initial_mean, spec.c, spec.d, max(k, 1)
-    )
-    sets = [np.asarray(vs, dtype=np.int64) for vs in vertex_sets]
-    funcs = [[parse_function(fid, spec.ell, k) for fid in fids] for fids in set_functions]
-    if len(sets) != len(funcs):
-        raise ValueError("each vertex set needs one row of test functions")
-    for vs, fs in zip(sets, funcs):
-        if len(vs) != len(fs):
-            raise ValueError("each vertex needs exactly one test function")
-    measure_funcs = [parse_function(fid, spec.ell, k) for fid in measure_functions]
-    pool_funcs = [
-        [parse_function(fid, spec.ell, k) for fid in fids] for fids in pooled_functions
-    ]
-    pool_idx = []
-    for (r1, r2) in pooled_pairs:
+    labels, _, model, profile = label_point(spec, n, theta, (seed, 0), max(k, 1))
+    if len(vertex_sets) != len(set_functions) or any(
+            len(vs) != len(fids) for vs, fids in zip(vertex_sets, set_functions)):
+        raise ValueError("each vertex set needs one test function per vertex")
+    # (vertices, columns, function ids) per product row
+    products = [(tuple(int(v) for v in vs), [np.array([v], dtype=np.int64) for v in vs], fids)
+                for vs, fids in zip(vertex_sets, set_functions)]
+    for (r1, r2), fids in zip(pooled_pairs, pooled_functions):
         left = np.flatnonzero(labels == r1)
         right = np.flatnonzero(labels == r2)
         m = min(left.size, right.size)
         if m == 0:
             raise ValueError(f"no vertices available for community pair ({r1}, {r2})")
-        pool_idx.append((left[:m], right[:m]))
+        products.append(("pooled", [left[:m], right[:m]], fids))
+    products = [(vertices, cols, [parse_function(fid, spec.ell, k) for fid in fids])
+                for vertices, cols, fids in products]
+    measure_funcs = [parse_function(fid, spec.ell, k) for fid in measure_functions]
 
     def unit(i):
         traj = np.empty((n, spec.ell, k + 1))
@@ -340,53 +337,33 @@ def chaos_experiment(spec, n, theta, k, vertex_sets, set_functions, inner, seed,
             traj[:, :, state.k] = state.R
 
         run_graph(spec, labels, theta, k, (seed, 0, i), observe)
-        prods = [
-            float(np.prod([f(traj[v]) for v, f in zip(vs, fs)]))
-            for vs, fs in zip(sets, funcs)
-        ]
-        pooled = [
-            float(np.mean(fs[0](traj[left]) * fs[1](traj[right])))
-            for (left, right), fs in zip(pool_idx, pool_funcs)
-        ]
+        prods = [float(np.mean(reduce(np.multiply, [f(traj[col]) for col, f in zip(cols, fs)])))
+                 for _, cols, fs in products]
         measures = [
             [float(f(traj[labels == r]).mean() * (labels == r).mean()) if (labels == r).any() else 0.0
              for r in range(spec.K)]
             for f in measure_funcs
         ]
-        return prods, measures, pooled
+        return prods, measures
 
     results = parallel_map(unit, range(inner), threads=threads)
-    prod_samples = np.array([res[0] for res in results])          # (inner, n_sets)
+    prod_samples = np.array([res[0] for res in results])          # (inner, n_rows)
     measure_samples = np.array([res[1] for res in results])       # (inner, n_f, K)
-    pooled_samples = np.array([res[2] for res in results])        # (inner, n_pairs)
 
-    # limit side per community and function
+    # limit side per community
     limit_rng = substream(seed, rngmod.STATIONARY, 1)
-    needed = sorted({int(labels[v]) for vs in sets for v in vs} | set(range(spec.K)))
-    limit_draws = {
-        r: limit_trajectory_draws(spec, model, profile, r, k, limit_reps, limit_rng)
-        for r in needed
-    }
+    limit_draws = [limit_trajectory_draws(spec, model, profile, r, k, limit_reps, limit_rng)
+                   for r in range(spec.K)]
 
-    product_rows = [
-        _product_row(tuple(int(v) for v in vs), tuple(int(labels[v]) for v in vs), fs,
-                     prod_samples[:, idx], [f(limit_draws[int(labels[v])]) for v, f in zip(vs, fs)])
-        for idx, (vs, fs) in enumerate(zip(sets, funcs))
-    ]
-    product_rows += [
-        _product_row("pooled", (int(r1), int(r2)), fs, pooled_samples[:, idx],
-                     [fs[0](limit_draws[r1]), fs[1](limit_draws[r2])])
-        for idx, ((r1, r2), fs) in enumerate(zip(pooled_pairs, pool_funcs))
-    ]
+    product_rows = [_product_row(vertices, cols, fs, labels, prod_samples[:, idx], limit_draws)
+                    for idx, (vertices, cols, fs) in enumerate(products)]
 
     measure_rows = []
     for fi, f in enumerate(measure_funcs):
         for r in range(spec.K):
-            vals = f(limit_draws[r])
-            limit_est = float(spec.pi[r] * vals.mean())
-            limit_se = (float(spec.pi[r] * vals.std(ddof=1) / math.sqrt(limit_reps))
-                        if limit_reps > 1 else 0.0)
-            graph_est, graph_se = _mean_se(measure_samples[:, fi, r])
+            limit_mean, limit_se = mean_se(f(limit_draws[r]))
+            limit_est = float(spec.pi[r] * limit_mean)
+            graph_est, graph_se = map(float, mean_se(measure_samples[:, fi, r]))
             measure_rows.append(
                 {
                     "function": f.fid,
@@ -394,7 +371,7 @@ def chaos_experiment(spec, n, theta, k, vertex_sets, set_functions, inner, seed,
                     "graph_estimate": graph_est,
                     "graph_se": graph_se,
                     "limit_estimate": limit_est,
-                    "limit_se": limit_se,
+                    "limit_se": float(spec.pi[r] * limit_se),
                     "gap": abs(graph_est - limit_est),
                 }
             )
@@ -427,13 +404,8 @@ def stationarity_experiment(spec, n, theta, k_long, inner, tol, seed,
     sampler truncates at the tighter tol / 100 so its truncation bias is
     negligible next to the burn-in one.
     """
-    if (1.0 - spec.d) ** k_long >= tol:
-        raise ValueError(
-            f"k_long={k_long} does not burn in to tol={tol}: (1-d)^k = {(1.0 - spec.d) ** k_long:.3g}"
-        )
-    labels = sample_labels(spec, n, (seed, 0))
-    census = np.bincount(labels, minlength=spec.K)
-    model = build_meanfield_model(spec, n, theta, census)
+    check_burned_in(spec.d, k_long, tol)
+    labels, _, model, _ = label_point(spec, n, theta, (seed, 0))
 
     def unit(i):
         state = run_graph(spec, labels, theta, k_long, (seed, 0, i), lambda state, frame: None)
@@ -445,22 +417,17 @@ def stationarity_experiment(spec, n, theta, k_long, inner, tol, seed,
             second[r] = (state.R[mask] ** 2).mean(axis=0)
         return first, second
 
-    results = parallel_map(unit, range(inner), threads=threads)
-    firsts = np.array([res[0] for res in results])
-    seconds = np.array([res[1] for res in results])
+    moments = np.array(parallel_map(unit, range(inner), threads=threads))  # (inner, 2, K, ell)
 
     sampler = StationarySampler(spec, model, tol * 1e-2)
     stat_rng = substream(seed, rngmod.STATIONARY)
     rows = []
     for r in range(spec.K):
         draws = sampler.sample(r, stat_rng, size=stationary_reps)
-        for moment, graph_s, stat_vals in (
-            ("mean", firsts, draws),
-            ("second", seconds, draws**2),
-        ):
+        for m, (moment, stat_vals) in enumerate((("mean", draws), ("second", draws**2))):
             for topic in range(spec.ell):
-                graph_est, graph_se = _mean_se(graph_s[:, r, topic])
-                stat_est, stat_se = _mean_se(stat_vals[:, topic])
+                graph_est, graph_se = map(float, mean_se(moments[:, m, r, topic]))
+                stat_est, stat_se = map(float, mean_se(stat_vals[:, topic]))
                 rows.append(
                     {
                         "community": r,

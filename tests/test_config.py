@@ -25,7 +25,7 @@ FULL_K3 = """
 kind = chaos
 seed = 99
 out = runs/demo
-n_grid = 400 800
+n_grid = 400
 theta = pow:0.8
 inner_reps = 12
 outer_reps = 2

@@ -53,16 +53,16 @@ CONFIGS = {
 
 DIGESTS = {
     "chaos": {
-        "chaos.csv": "966c2e019615932ad42fa813f85664aaad439a6b78a207e71b743e79814ba901",
-        "summary.json": "33c6828c2ab8fecd8f6e56ba8479dc3594b4d752cb1134b7546814e65777bc73",
+        "chaos.csv": "5c04123a590de7fdd564cc7a0298b0558dca92b7e634e382d4d7be307dea2fbb",
+        "summary.json": "9092dc0e9583b0de05078a22fd84cfd8b4b440851558ec17b8d554efbe55280f",
     },
     "concentration": {
         "concentration.csv": "a1174adcb73eac7aaae02d082baabe166d4f64c92b508542a33468503b44622c",
         "summary.json": "343e028e617fb2880d4a6ddc0746d2cd64dae1521afc4549b87de818624a9ab5",
     },
     "error": {
-        "error_curve.csv": "7617349d6664ed83afb4933c14e53374f1103859b822ce965e106a9e4807c974",
-        "summary.json": "eb7ed50a544d5a7b5dcbd193400b6cf20d78f0681256433a6b3a0b9257375fb7",
+        "error_curve.csv": "bee04db95bf6d816e89ad8ebff86a9415387bd0dbf220411113fcc52582dfcb3",
+        "summary.json": "0a07dfedc7a247949c681db4b9effd1a3b53d4d81971848d8e2efd0fbf027433",
     },
     "meanfield": {
         "model_report.json": "c709c0a665c95c8a4616c45542df3d95d313c3725310fb99a29a91843fc6df51",

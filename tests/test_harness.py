@@ -347,6 +347,9 @@ def test_record_id_not_below_n_rejected_at_run(tmp_path, capsys):
     (make_config("error").replace("n_grid = 120", "n_grid = 1 120")
      .replace("const:10", "loglog:3"), "theta"),
     (make_config("stationary", "k_max = 2\nburn_tol = 1e-4"), "k_max"),  # 0.75^2 >= 1e-4
+    (make_config("concentration", "conc_weight = uniform:0,5"), "conc_weight"),  # H = 1
+    (make_config("concentration", "conc_value = uniform:-3,3"), "conc_value"),
+    (make_config("stationary").replace("n_grid = 120", "n_grid = 100 200"), "n_grid"),
 ])
 def test_cli_malformed_value_is_config_error(tmp_path, capsys, text, key):
     cfg_path = tmp_path / "bad.cfg"
@@ -382,4 +385,28 @@ def test_cli_stationary_short_k_max_exits_before_any_graph(tmp_path, capsys, mon
     out = tmp_path / "o"
     assert main(["stationary", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
     assert "config error: k_max" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "meanfield", "chaos", "stationary"])
+def test_cli_single_size_command_rejects_extra_sizes(tmp_path, capsys, monkeypatch, command):
+    # the config's own kind, error, runs every size; these commands run one
+    cfg_path = tmp_path / "sizes.cfg"
+    cfg_path.write_text(make_config("error").replace("n_grid = 120", "n_grid = 100 200"))
+    assert main(["validate", "--config", str(cfg_path)]) == EXIT_OK
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was drawn")
+
+    import opinionlab.dynamics
+    import opinionlab.harness
+    import opinionlab.metrics
+
+    for module in (opinionlab.metrics, opinionlab.harness):
+        monkeypatch.setattr(module, "sample_labels", no_graph)
+    for module in (opinionlab.dynamics, opinionlab.harness):
+        monkeypatch.setattr(module, "sample_graph", no_graph)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: n_grid" in capsys.readouterr().err
     assert not (out / "summary.json").exists()

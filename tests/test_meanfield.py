@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,23 @@ def test_no_inbound_prob_saturated_and_empty():
     assert no_inbound_prob(spec, 50, 5.0, np.array([50]))[0] == 1.0
     spec.kappa = np.array([[50.0]])
     assert no_inbound_prob(spec, 50, 1.0, np.array([50]))[0] == 0.0
+
+
+def test_no_inbound_prob_singleton_and_empty_communities_warn_nothing():
+    # a community of one vertex (exponent 0 for itself) or of none must not
+    # make a -inf * 0 NaN, even in a masked-out branch
+    spec = random_spec(11, K=3)
+    spec.kappa = np.array([[1.0, 2.0, 0.5], [2.0, 60.0, 1.0], [0.5, 1.0, 1.0]])
+    n, theta = 3, 1.5
+    census = np.array([1, 2, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p0 = no_inbound_prob(spec, n, theta, census)
+    for r in range(3):
+        p = np.minimum(spec.kappa[:, r] * theta / n, 1.0)
+        sources = census - (np.arange(3) == r)
+        assert p0[r] == pytest.approx(np.prod((1 - p) ** np.maximum(sources, 0)), rel=1e-12)
+    assert p0[1] == 0.0  # saturated p = 1 from community 1 onto itself
 
 
 def test_signal_mean_assembly():

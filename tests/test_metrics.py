@@ -7,7 +7,7 @@ import pytest
 import opinionlab as ol
 from opinionlab.distributions import Point, Uniform, VectorDist
 from opinionlab.metrics import (
-    ConcentrationCase, burn_in_steps, coupled_gap_run, parse_function,
+    ConcentrationCase, burn_in_steps, coupled_gap_run, mean_se, parse_function,
     ratio_deviation_bound, sum_deviation_bound,
 )
 from opinionlab.meanfield import build_meanfield_model, deterministic_profile
@@ -122,6 +122,38 @@ def test_error_curve_by_n_aggregates():
             np.sqrt(np.mean([pt.sup_inf_se**2 for pt in pts]) / 2))
 
 
+def test_mean_se_single_sample_is_zero_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, se = mean_se(np.array([[0.25, -1.5, 3.0]]))
+        scalar_mean, scalar_se = mean_se([0.7])
+    assert mean.tolist() == [0.25, -1.5, 3.0]
+    assert se.tolist() == [0.0, 0.0, 0.0]
+    assert (float(scalar_mean), float(scalar_se)) == (0.7, 0.0)
+
+
+def test_mean_se_matches_column_formula():
+    samples = np.random.default_rng(3).normal(size=(7, 4, 2))
+    mean, se = mean_se(samples)
+    assert mean.shape == se.shape == (4, 2)
+    for i in range(4):
+        for j in range(2):
+            col = samples[:, i, j]
+            assert mean[i, j] == pytest.approx(col.mean(), rel=1e-14)
+            assert se[i, j] == pytest.approx(col.std(ddof=1) / math.sqrt(7), rel=1e-14)
+
+
+def test_error_experiment_single_inner_rep_has_zero_stderr():
+    spec = random_spec(6, K=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = ol.error_experiment(spec, [60], lambda n: 6.0, 4, 1, 1, 21)
+    pt = curve.points[0]
+    assert pt.inf_se.tolist() == pt.row_se.tolist() == [0.0] * 5
+    assert (pt.sup_inf_se, pt.sup_row_se) == (0.0, 0.0)
+    assert pt.inf_estimate.max() > 0.0
+
+
 def test_error_experiment_threads_do_not_change_results():
     spec = random_spec(5)
     a = ol.error_experiment(spec, [50], lambda n: 6.0, 6, 6, 1, 13, threads=1)
@@ -192,6 +224,25 @@ def test_chaos_single_limit_draw_has_zero_stderr():
         )
     assert [row["limit_se"] for row in report.measure_rows] == [0.0, 0.0]
     assert report.product_rows[0]["limit_se"] == 0.0
+
+
+def test_chaos_fixed_set_is_a_pool_of_one_row():
+    # n = 2 with fixed composition: one vertex per community, so the
+    # pooled (0, 1) pair is the fixed set of those two vertices
+    spec = chaos_spec()
+    labels = ol.sample_labels(spec, 2, (37, 0))
+    pair = [int(np.flatnonzero(labels == r)[0]) for r in (0, 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = ol.chaos_experiment(
+            spec, 2, 1.0, 2, [pair], [["proj:0,2", "proj:0,1"]], 6, 37, limit_reps=50,
+            pooled_pairs=[(0, 1)], pooled_functions=[["proj:0,2", "proj:0,1"]],
+        )
+    fixed, pooled = report.product_rows
+    assert fixed["vertices"] == tuple(pair) and pooled["vertices"] == "pooled"
+    assert fixed["communities"] == pooled["communities"] == (0, 1)
+    assert {k: v for k, v in fixed.items() if k != "vertices"} == \
+        {k: v for k, v in pooled.items() if k != "vertices"}
 
 
 def test_chaos_factorization_gap_shrinks_with_n():
