@@ -9,9 +9,10 @@ keys; the thread count comes from --threads, else OPINIONLAB_THREADS,
 else the config.  Exit codes: 0 success, 2 config error (also a
 negative --seed, a thread count that is not a positive integer, a
 `record` or `vertex_sets` id that is negative or not below n, a
-`conc_weight` or `conc_value` law outside its support, several n_grid
-sizes for a kind that runs one, or a `stationary` run whose k_max does
-not burn in to burn_tol), 3 runtime/budget error.
+`concentration` run whose `conc_weight` or `conc_value` law lies
+outside its support, several n_grid sizes for a kind that runs one, or
+a `stationary` run whose k_max does not burn in to burn_tol), 3
+runtime/budget error.
 """
 
 import argparse

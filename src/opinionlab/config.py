@@ -136,6 +136,25 @@ def graph_size(cfg):
     return cfg.n_grid[0]
 
 
+def concentration_laws(cfg):
+    """The concentration kind's weight and value laws.  Raises
+    ConfigError when either is malformed or has support outside [0, H]
+    or [-1, 1]."""
+    laws, problems = [], []
+    for key, lo, hi in (("conc_weight", 0.0, cfg.model.H), ("conc_value", -1.0, 1.0)):
+        try:
+            law = parse_scalar(getattr(cfg, key))
+        except ValueError as exc:
+            problems.append(f"{key}: {exc}")
+            continue
+        if not supported_in(law, lo, hi):
+            problems.append(f"{key}: support outside [{lo:g}, {hi:g}]")
+        laws.append(law)
+    if problems:
+        raise ConfigError(problems)
+    return laws
+
+
 def _flatten_json(obj, prefix=""):
     out = {}
     for key, val in obj.items():
@@ -382,15 +401,12 @@ def parse_config(text):
             except ValueError as exc:
                 problems.append(f"{key}: {exc}")
     conc = {}
-    for key, lo, hi in (("conc_weight", 0.0, model.H), ("conc_value", -1.0, 1.0)):
+    for key in ("conc_weight", "conc_value"):
         conc[key] = take(key, _DEFAULTS[key])
         try:
-            law = parse_scalar(conc[key])
+            parse_scalar(conc[key])
         except ValueError as exc:
             problems.append(f"{key}: {exc}")
-            continue
-        if not supported_in(law, lo, hi):
-            problems.append(f"{key}: support outside [{lo:g}, {hi:g}]")
     eps_grid = listed("eps_grid", "0.1 0.2 0.5", _parse_vector_field)
     count_means = listed("count_means", "50", _parse_vector_field)
     for key, vals in (("eps_grid", eps_grid), ("count_means", count_means)):
@@ -424,6 +440,11 @@ def parse_config(text):
             graph_size(cfg)
         except ConfigError as exc:
             problems.extend(exc.problems)
+    if kind == "concentration":
+        try:
+            concentration_laws(cfg)
+        except ConfigError as exc:  # a malformed law is already listed
+            problems.extend(p for p in exc.problems if p not in problems)
     if kind == "stationary" and not problems:
         try:
             stationary_k_long(cfg)

@@ -23,10 +23,9 @@ from . import __version__
 from . import rng as rngmod
 from .rng import substream
 from .config import (
-    DEFAULT_VERTEX_SETS, ConfigError, graph_size, serialize_config, stationary_k_long,
-    theta_value,
+    DEFAULT_VERTEX_SETS, ConfigError, concentration_laws, graph_size, serialize_config,
+    stationary_k_long, theta_value,
 )
-from .distributions import parse_scalar
 from .graph import normalize_weights, sample_graph, sample_labels
 from .dynamics import simulate
 from .meanfield import mixing_matrix, regime_stats
@@ -228,13 +227,14 @@ def _run_stationary(cfg, out):
 
 
 def _run_concentration(cfg, out):
+    weight_dist, value_dist = concentration_laws(cfg)
     rows = []
     summaries = []
     for case_idx, mean in enumerate(cfg.count_means):
         case = ConcentrationCase(
             count_dists=[("poisson", mean)],
-            weight_dist=parse_scalar(cfg.conc_weight),
-            value_dist=parse_scalar(cfg.conc_value),
+            weight_dist=weight_dist,
+            value_dist=value_dist,
             H=cfg.model.H,
             eps_grid=tuple(cfg.eps_grid),
         )

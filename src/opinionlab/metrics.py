@@ -269,10 +269,9 @@ def limit_trajectory_draws(spec, model, profile, community, k, reps, rng):
     return np.stack([R0] + steps, axis=2)
 
 
-def _product_row(vertices, columns, funcs, labels, graph_samples, limit_draws):
+def _product_row(vertices, communities, funcs, graph_samples, limit_draws):
     """Graph estimate of a product moment against the product of the limit
     factor means, its standard error propagated to first order."""
-    communities = tuple(int(labels[col[0]]) for col in columns)
     graph_est, graph_se = map(float, mean_se(graph_samples))
     means, ses = zip(*(mean_se(f(limit_draws[r])) for r, f in zip(communities, funcs)))
     limit_prod = float(np.prod(means))
@@ -316,8 +315,13 @@ def chaos_experiment(spec, n, theta, k, vertex_sets, set_functions, inner, seed,
     if len(vertex_sets) != len(set_functions) or any(
             len(vs) != len(fids) for vs, fids in zip(vertex_sets, set_functions)):
         raise ValueError("each vertex set needs one test function per vertex")
-    # (vertices, columns, function ids) per product row
-    products = [(tuple(int(v) for v in vs), [np.array([v], dtype=np.int64) for v in vs], fids)
+
+    def funcs(fids):
+        return [parse_function(fid, spec.ell, k) for fid in fids]
+
+    # (vertices, communities, columns, functions) per product row
+    products = [(tuple(int(v) for v in vs), tuple(int(labels[v]) for v in vs),
+                 [np.array([v], dtype=np.int64) for v in vs], funcs(fids))
                 for vs, fids in zip(vertex_sets, set_functions)]
     for (r1, r2), fids in zip(pooled_pairs, pooled_functions):
         left = np.flatnonzero(labels == r1)
@@ -325,10 +329,8 @@ def chaos_experiment(spec, n, theta, k, vertex_sets, set_functions, inner, seed,
         m = min(left.size, right.size)
         if m == 0:
             raise ValueError(f"no vertices available for community pair ({r1}, {r2})")
-        products.append(("pooled", [left[:m], right[:m]], fids))
-    products = [(vertices, cols, [parse_function(fid, spec.ell, k) for fid in fids])
-                for vertices, cols, fids in products]
-    measure_funcs = [parse_function(fid, spec.ell, k) for fid in measure_functions]
+        products.append(("pooled", (int(r1), int(r2)), [left[:m], right[:m]], funcs(fids)))
+    measure_funcs = funcs(measure_functions)
 
     def unit(i):
         traj = np.empty((n, spec.ell, k + 1))
@@ -338,7 +340,7 @@ def chaos_experiment(spec, n, theta, k, vertex_sets, set_functions, inner, seed,
 
         run_graph(spec, labels, theta, k, (seed, 0, i), observe)
         prods = [float(np.mean(reduce(np.multiply, [f(traj[col]) for col, f in zip(cols, fs)])))
-                 for _, cols, fs in products]
+                 for _, _, cols, fs in products]
         measures = [
             [float(f(traj[labels == r]).mean() * (labels == r).mean()) if (labels == r).any() else 0.0
              for r in range(spec.K)]
@@ -355,8 +357,8 @@ def chaos_experiment(spec, n, theta, k, vertex_sets, set_functions, inner, seed,
     limit_draws = [limit_trajectory_draws(spec, model, profile, r, k, limit_reps, limit_rng)
                    for r in range(spec.K)]
 
-    product_rows = [_product_row(vertices, cols, fs, labels, prod_samples[:, idx], limit_draws)
-                    for idx, (vertices, cols, fs) in enumerate(products)]
+    product_rows = [_product_row(vertices, comms, fs, prod_samples[:, idx], limit_draws)
+                    for idx, (vertices, comms, _, fs) in enumerate(products)]
 
     measure_rows = []
     for fi, f in enumerate(measure_funcs):

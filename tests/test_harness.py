@@ -410,3 +410,27 @@ def test_cli_single_size_command_rejects_extra_sizes(tmp_path, capsys, monkeypat
     assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
     assert "config error: n_grid" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+def test_validate_h_below_default_conc_weight_is_ok(tmp_path, capsys):
+    # the default conc_weight point:1 lies outside [0, H]; only the concentration kind draws it
+    cfg_path = tmp_path / "h.cfg"
+    cfg_path.write_text(make_config("error").replace("model.H = 1", "model.H = 0.5")
+                        .replace("model.weights = point:1", "model.weights = uniform:0,0.5"))
+    assert main(["validate", "--config", str(cfg_path)]) == EXIT_OK
+    assert "config ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("extra, key", [
+    ("conc_weight = uniform:0,5", "conc_weight"),  # H = 1
+    ("conc_value = uniform:-3,3", "conc_value"),
+])
+def test_cli_concentration_command_checks_law_supports(tmp_path, capsys, extra, key):
+    # the config's own kind, error, never draws these laws; the concentration command does
+    cfg_path = tmp_path / "conc.cfg"
+    cfg_path.write_text(make_config("error", extra))
+    assert main(["validate", "--config", str(cfg_path)]) == EXIT_OK
+    out = tmp_path / "o"
+    assert main(["concentration", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {key}: support outside" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
