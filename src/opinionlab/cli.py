@@ -18,13 +18,12 @@ runtime/budget error.
 import argparse
 import sys
 
-from .config import ConfigError, parse_config
+from .config import KINDS, ConfigError, parse_config
 from .gwtree import TreeBudgetError
 from .harness import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, run
 from .parallel import resolve_threads
 
-COMMANDS = ("simulate", "meanfield", "error", "chaos", "stationary", "concentration",
-            "tree", "validate")
+COMMANDS = KINDS + ("validate",)
 
 
 def build_parser():

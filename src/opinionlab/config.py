@@ -156,32 +156,35 @@ def concentration_laws(cfg):
 
 
 def _flatten_json(obj, prefix=""):
-    out = {}
-    for key, val in obj.items():
+    """(dotted key, value text) of every leaf of a JSON object read with
+    object_pairs_hook=tuple, so that a repeated key stays visible."""
+    for key, val in obj:
         dotted = f"{prefix}{key}"
-        if isinstance(val, dict):
-            out.update(_flatten_json(val, prefix=f"{dotted}."))
+        if isinstance(val, tuple):
+            yield from _flatten_json(val, prefix=f"{dotted}.")
         elif isinstance(val, list):
-            out[dotted] = " ".join(
+            yield dotted, " ".join(
                 ";" if item == ";" else ("|" if item == "|" else str(item)) for item in val
             )
         elif isinstance(val, bool):
-            out[dotted] = "true" if val else "false"
+            yield dotted, "true" if val else "false"
         else:
-            out[dotted] = str(val)
-    return out
+            yield dotted, str(val)
 
 
 def _read_pairs(text):
+    """The key -> value text of a config and its problems, among them a
+    key given twice (in JSON also a dotted key repeating a nested one)."""
     text = text.strip()
-    if text.startswith("{"):
+    is_json = text.startswith("{")
+    entries, problems = [], []
+    if is_json:
         try:
-            return _flatten_json(json.loads(text)), []
+            entries = [(key, val, None) for key, val in
+                       _flatten_json(json.loads(text, object_pairs_hook=tuple))]
         except json.JSONDecodeError as exc:
             return {}, [f"malformed JSON: {exc}"]
-    pairs = {}
-    problems = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate([] if is_json else text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -189,7 +192,14 @@ def _read_pairs(text):
             problems.append(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
             continue
         key, _, value = line.partition("=")
-        pairs[key.strip()] = value.strip()
+        entries.append((key.strip(), value.strip(), lineno))
+    pairs, first_line = {}, {}
+    for key, value, lineno in entries:
+        if key in pairs:
+            where = "" if lineno is None else f" on lines {first_line[key]} and {lineno}"
+            problems.append(f"{key}: duplicate key{where}")
+            continue
+        pairs[key], first_line[key] = value, lineno
     return pairs, problems
 
 

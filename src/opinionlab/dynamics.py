@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
+from .distributions import sample_by_label
 from .graph import normalize_weights, sample_graph
 from .rng import substream
 
@@ -76,16 +77,35 @@ def hop_weight_table(k_max, c, d):
 
 def sample_signal_frame(spec, graph, seed):
     """Draw one round of media signals Z and assemble the external frame
-    W = d * Z + c * q * 1(no inbound neighbors) in place of Z.
+    from them with assemble_frame.
 
     seed is either a running Generator (signals are consumed in step
     order, as iterate does) or a seed of the (seed, SIGNALS) stream.
     """
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed, rngmod.SIGNALS)
-    W = spec.sample_signals(graph.labels, graph.beliefs, rng)
-    W *= spec.d
-    W += spec.c * graph.beliefs * graph.no_inbound[:, None]
-    return SignalFrame(W=W)
+    Z = sample_by_label(spec.signal_dists, graph.labels, rng, (spec.ell,))
+    terms = frame_terms(spec, graph.beliefs, graph.no_inbound)
+    return SignalFrame(W=assemble_frame(spec, Z, terms))
+
+
+def frame_terms(spec, beliefs, no_inbound):
+    """The step-invariant parts w * q and c * q * 1(no inbound neighbors)
+    of the frames of rows with beliefs q (w = signal_belief_weight)."""
+    return spec.signal_belief_weight * beliefs, spec.c * beliefs * no_inbound[:, None]
+
+
+def assemble_frame(spec, Z, terms):
+    """The external frame W = d * ((1-w) * Z + w * q) + c * q * 1(no
+    inbound neighbors), in place on the media draws Z, from the rows'
+    frame_terms; the graph and the limit side both assemble here."""
+    pull, offset = terms
+    w = spec.signal_belief_weight
+    if w:
+        Z *= 1.0 - w
+        Z += pull
+    Z *= spec.d
+    Z += offset
+    return Z
 
 
 def step(state, influence, frame, c, d):
@@ -155,9 +175,10 @@ def simulate(spec, graph, influence, k_max, seed, record=None):
 
 
 class ExplicitProcess:
-    """The explicit approximation over rows, one step per advance: with
-    a = 1-c-d, stream_k = a * stream_{k-1} + W_k and the state is
-    stream_k + base_k + a^k * R0, a^k kept as a running product."""
+    """The explicit approximation over rows: with a = 1-c-d, update(W)
+    takes stream_k = a * stream_{k-1} + W_k, read(base) gives the state
+    stream_k + base_k + a^k * R0, a^k kept as a running product, and
+    advance is one update and its read."""
 
     def __init__(self, R0, c, d):
         self.R0 = R0
@@ -165,11 +186,16 @@ class ExplicitProcess:
         self.stream = np.zeros_like(R0)
         self.decay = 1.0
 
-    def advance(self, W, base):
+    def update(self, W):
         self.stream *= self.a
         self.stream += W
         self.decay *= self.a
+
+    def read(self, base):
         out = self.stream + base
         out += self.decay * self.R0
         return out
 
+    def advance(self, W, base):
+        self.update(W)
+        return self.read(base)

@@ -14,6 +14,11 @@ K x K size.
 The mean-field trajectory of a vertex combines its own decayed signal
 stream with deterministic community terms assembled from powers of the
 mixing matrix and the hop-weight table.
+
+Limit-side draws (chaos limit trajectories, the stationary sampler) run
+that process on graph-free vertices.  A call draws all beliefs, then
+the no-inbound flags, then any initial opinions not taken from the
+beliefs, then one signal frame per step with the topics in order.
 """
 
 import math
@@ -21,10 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ExplicitProcess, hop_weight_table
-
-# signal values per streamed block of the stationary sampler
-_SIGNAL_CHUNK = 1 << 18
+from .dynamics import ExplicitProcess, assemble_frame, frame_terms, hop_weight_table
 
 
 def _listening_mass(moment, shares, kappa):
@@ -211,19 +213,13 @@ def stationary_horizon(tol, d, ell):
 class StationarySampler:
     """Draws from the truncated stationary opinion law of one community.
 
-    A draw fixes the vertex attributes (belief vector, no-inbound
-    indicator), streams fresh media draws over the truncated horizon,
-    and adds the deterministic community term assembled from mixing
-    powers.  The horizon comes from the explicit geometric tail bound,
-    never a fixed constant.
-
-    sample() streams: topic by topic, it takes the draws in runs of about
-    _SIGNAL_CHUNK signal values, draws those signals and reduces them
-    against the decay vector at once, so its working memory is a few
-    runs whatever the draw count and horizon.  Topic j's values come
-    from one continued stream, in the order a single size * (T+1) draw
-    would give them, and every law keeps its stream across calls, so
-    chunking changes no byte.
+    A draw is the explicit process started from zero and run one step
+    past the horizon, plus the signal-only deterministic community term
+    assembled from mixing powers; only its last state is read.  The
+    horizon comes from the explicit geometric tail bound, never a fixed
+    constant.  sample() draws the beliefs, then the no-inbound flags,
+    then one signal frame per step with the topics in order, so its
+    working memory is a few (size, ell) arrays whatever the horizon.
     """
 
     def __init__(self, spec, model, tol):
@@ -238,30 +234,11 @@ class StationarySampler:
 
     def sample(self, community, rng, size=1):
         spec = self.spec
-        steps = self.horizon + 1
-        q, flag = limit_attributes(spec, self.model, community, rng, size)
-        decay = (1.0 - spec.c - spec.d) ** np.arange(steps)
-        rows = max(_SIGNAL_CHUNK // steps, 1)
-        out = np.empty((size, spec.ell))
-        for j in range(spec.ell):
-            for lo in range(0, size, rows):
-                W = limit_signal_block(spec, community, q[lo:lo + rows], flag[lo:lo + rows],
-                                       j, steps, rng)
-                out[lo:lo + rows, j] = _decayed_sum(decay, W)
-        return out + self.det[community]
-
-
-def _decayed_sum(decay, W):
-    """Row sums of decay[t] * W[:, t] as one BLAS matrix-vector product
-    over a C-contiguous (steps, columns) copy of W.  The column count is
-    padded with zeros to a multiple of 4, because OpenBLAS sends the
-    last (columns mod 4) columns through a remainder path that rounds
-    differently; padded, every draw takes the same path, so the sums do
-    not depend on the chunk size or the BLAS thread count."""
-    rows, steps = W.shape
-    block = np.zeros((steps, -(-rows // 4) * 4))
-    block[:, :rows] = W.T
-    return np.dot(decay, block)[:rows]
+        terms = frame_terms(spec, *limit_attributes(spec, self.model, community, rng, size))
+        process = ExplicitProcess(np.zeros((size, spec.ell)), spec.c, spec.d)
+        for _ in range(self.horizon + 1):
+            process.update(limit_frame(spec, community, terms, rng))
+        return process.read(self.det[community])
 
 
 def limit_attributes(spec, model, community, rng, size):
@@ -271,15 +248,8 @@ def limit_attributes(spec, model, community, rng, size):
     return q, flag
 
 
-def limit_signal_block(spec, community, q, flag, topic, steps, rng):
-    """One topic of the external signals W = d * z + c * q * flag of
-    limit-side vertices with attributes (q, flag) over steps rounds,
-    shaped (len(q), steps).  Successive calls for one topic continue its
-    value stream row by row."""
-    dist = spec.signal_dists[community].components[topic]
-    z = dist.sample(rng, size=len(q) * steps).reshape(len(q), steps)
-    q_topic = q[:, topic, None]
-    if spec.signal_belief_weight:
-        z = (1.0 - spec.signal_belief_weight) * z + spec.signal_belief_weight * q_topic
-    return spec.d * z + spec.c * (q_topic * flag[:, None])
-
+def limit_frame(spec, community, terms, rng):
+    """One step's frame of limit-side vertices with the given
+    frame_terms: the community's signal law drawn once for all."""
+    Z = spec.signal_dists[community].sample(rng, size=len(terms[1]))
+    return assemble_frame(spec, Z, terms)

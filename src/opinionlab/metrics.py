@@ -19,10 +19,10 @@ import numpy as np
 from . import rng as rngmod
 from .rng import substream
 from .graph import sample_labels
-from .dynamics import ExplicitProcess, run_graph
+from .dynamics import ExplicitProcess, frame_terms, run_graph
 from .meanfield import (
     StationarySampler, build_meanfield_model, deterministic_profile, limit_attributes,
-    limit_signal_block, regime_stats,
+    limit_frame, regime_stats,
 )
 from .parallel import parallel_map
 
@@ -255,17 +255,13 @@ def parse_function(fid, ell, k):
 
 def limit_trajectory_draws(spec, model, profile, community, k, reps, rng):
     """Replicas of the explicit limit trajectory for one community,
-    shaped (reps, ell, k+1)."""
+    shaped (reps, ell, k+1), every step recorded."""
     q, flag = limit_attributes(spec, model, community, rng, reps)
-    if spec.init_dists == "beliefs":
-        R0 = q.copy()
-    else:
-        R0 = spec.init_dists[community].sample(rng, size=reps)
-    W = np.empty((reps, k, spec.ell))
-    for j in range(spec.ell):
-        W[:, :, j] = limit_signal_block(spec, community, q, flag, j, k, rng)
+    R0 = q if spec.init_dists == "beliefs" else spec.init_dists[community].sample(rng, size=reps)
+    terms = frame_terms(spec, q, flag)
     process = ExplicitProcess(R0, spec.c, spec.d)
-    steps = [process.advance(W[:, m - 1], profile[m, community]) for m in range(1, k + 1)]
+    steps = [process.advance(limit_frame(spec, community, terms, rng), profile[m, community])
+             for m in range(1, k + 1)]
     return np.stack([R0] + steps, axis=2)
 
 

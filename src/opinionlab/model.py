@@ -174,14 +174,6 @@ class ModelSpec:
     def sample_beliefs(self, labels, rng):
         return sample_by_label(self.belief_dists, labels, rng, (self.ell,))
 
-    def sample_signals(self, labels, beliefs, rng):
-        """One round of media draws for every vertex."""
-        out = sample_by_label(self.signal_dists, labels, rng, (self.ell,))
-        w = self.signal_belief_weight
-        if w:
-            out = (1.0 - w) * out + w * beliefs
-        return out
-
     def sample_initial(self, labels, beliefs, rng):
         if self.init_dists == "beliefs":
             return beliefs.copy()

@@ -53,8 +53,8 @@ CONFIGS = {
 
 DIGESTS = {
     "chaos": {
-        "chaos.csv": "5c04123a590de7fdd564cc7a0298b0558dca92b7e634e382d4d7be307dea2fbb",
-        "summary.json": "9092dc0e9583b0de05078a22fd84cfd8b4b440851558ec17b8d554efbe55280f",
+        "chaos.csv": "efcc52c314961a29d1d865f70963c218c423367ff56e1192dbf3762ff26532fd",
+        "summary.json": "93e6e86c327fcd96ea6e3b4e0d31429fcc7f95f57adae60268153d30a0ba60b6",
     },
     "concentration": {
         "concentration.csv": "a1174adcb73eac7aaae02d082baabe166d4f64c92b508542a33468503b44622c",
@@ -73,8 +73,8 @@ DIGESTS = {
         "trajectories.csv": "093c58f7611cf2ed0e09f1801e1342be4131dc8b14d9efc83da34d5309cbda56",
     },
     "stationary": {
-        "stationarity.csv": "5c11853452f87c1380eb6cf051d1109fd681d3069a94e565967e7eb93305e3dc",
-        "summary.json": "06438c1f44f062fced56cf2752de41f6c158e996de84c106c48c55f624453926",
+        "stationarity.csv": "8dccd4e1c465d69c98823c019add8508e8386dbbd889aebc0b70ca5f561a74d8",
+        "summary.json": "947186335d7e2dfbae7d78b1da3e643688c04ad757e4adc2559117695cbc0d9e",
     },
     "tree": {
         "summary.json": "1de4fe1dfa53209f95fa16a716bd08297dc354b8820d7a581f77329982d3d955",
@@ -106,8 +106,8 @@ HIGH_DEGREE_CONFIG = (
 )
 
 HIGH_DEGREE_DIGESTS = {
-    "stationarity.csv": "c39f76a8e94776bcfef95ad1db0bcd48139dd2c0dd5875ddf2fbe6fbf4a8912a",
-    "summary.json": "34fc1ecb8933156793f47418740956ec85b1a3788f895b7ff8b447a18d6221b4",
+    "stationarity.csv": "908cfa45a525e209fc88acce8aece62b08d0027384e17b6399aaa1d68f512213",
+    "summary.json": "a4c67a671e5b7363fc3851d0aab01845be9878b6fb0f374b45eed9d6af62e119",
 }
 
 

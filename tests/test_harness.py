@@ -96,7 +96,8 @@ def test_stationary_run(tmp_path):
 
 def test_concentration_run(tmp_path):
     cfg = parse_config(
-        make_config("concentration", "inner_reps = 2000\ncount_means = 20 50\neps_grid = 0.2 0.5")
+        make_config("concentration", "count_means = 20 50\neps_grid = 0.2 0.5")
+        .replace("inner_reps = 3", "inner_reps = 2000")
     )
     run(cfg, tmp_path)
     lines = read_lines(tmp_path / "concentration.csv")
@@ -252,7 +253,8 @@ def test_cli_entry_point_subprocess(tmp_path):
 
 def _run_cli(tmp_path, name, extra_cfg="", flags=()):
     cfg_path = tmp_path / f"{name}.cfg"
-    cfg_path.write_text(make_config("error", "k_max = 2\ninner_reps = 2\n" + extra_cfg))
+    cfg_path.write_text(make_config("error", "k_max = 2\n" + extra_cfg)
+                        .replace("inner_reps = 3", "inner_reps = 2"))
     out = tmp_path / name
     code = main(["error", "--config", str(cfg_path), "--out", str(out), *flags])
     return code, out
@@ -350,6 +352,9 @@ def test_record_id_not_below_n_rejected_at_run(tmp_path, capsys):
     (make_config("concentration", "conc_weight = uniform:0,5"), "conc_weight"),  # H = 1
     (make_config("concentration", "conc_value = uniform:-3,3"), "conc_value"),
     (make_config("stationary").replace("n_grid = 120", "n_grid = 100 200"), "n_grid"),
+    (make_config("error", "inner_reps = 50"), "inner_reps: duplicate key on lines 5 and 6"),
+    ('{"kind": "error", "seed": 1, "seed": 2}', "seed: duplicate key"),
+    ('{"kind": "error", "model": {"K": 1}, "model.K": 2}', "model.K: duplicate key"),
 ])
 def test_cli_malformed_value_is_config_error(tmp_path, capsys, text, key):
     cfg_path = tmp_path / "bad.cfg"

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import opinionlab as ol
 from opinionlab import meanfield
 from opinionlab.distributions import Mixture, Point, ScaledBeta, Uniform, VectorDist
+from opinionlab.dynamics import frame_terms
 from opinionlab.meanfield import (
     build_meanfield_model, deterministic_profile, intermediate_trajectory,
     meanfield_trajectory, mixing_matrix, no_inbound_prob, share_mismatch,
@@ -395,58 +396,88 @@ SIGNAL_LAWS = {
 }
 
 
-def streamed_sampler(law, tol=1e-6):
+def law_spec(law):
     """K = 2, ell = 3, signal_belief_weight = 0.25, one signal law family."""
-    spec = ModelSpec(
+    return ModelSpec(
         K=2, ell=3, pi=[0.4, 0.6], kappa=[[2.0, 0.5], [1.0, 1.5]], c=0.3, d=0.25, H=1.0,
         weight_dists=[[Uniform(0.2, 1.0), Point(0.5)], [Point(0.7), Uniform(0.1, 0.9)]],
         belief_dists=[VectorDist((Uniform(-1.0, 1.0), Point(0.3), Uniform(-0.5, 0.5)))] * 2,
         signal_dists=[VectorDist(tuple(SIGNAL_LAWS[law](r, j) for j in range(3))) for r in range(2)],
         signal_belief_weight=0.25,
     )
-    return StationarySampler(spec, build_meanfield_model(spec, 100, 12.0, np.array([40, 60])), tol)
 
 
-def one_shot_stationary(sampler, community, rng, size):
-    """The unstreamed sampler: every signal of every draw in one
-    (size, T+1, ell) array, reduced by one tensordot."""
+def law_sampler(law, theta=12.0, tol=1e-6):
+    spec = law_spec(law)
+    return StationarySampler(spec, build_meanfield_model(spec, 100, theta, np.array([40, 60])), tol)
+
+
+@pytest.mark.parametrize("law", sorted(SIGNAL_LAWS))
+def test_stationary_stream_is_one_frame_per_step(law):
+    # a call draws the beliefs, then the flags, then horizon + 1 frames,
+    # each the community's law once for all draws with the topics in
+    # order; the last frame gets decay a^0
+    sampler = law_sampler(law)
     spec, T = sampler.spec, sampler.horizon
-    q = spec.belief_dists[community].sample(rng, size=size)
-    flag = rng.random(size) < sampler.model.no_inbound_prob[community]
-    z = spec.signal_dists[community].sample(rng, size=size * (T + 1)).reshape(size, T + 1, spec.ell)
-    z = (1.0 - spec.signal_belief_weight) * z + spec.signal_belief_weight * q[:, None, :]
-    W = spec.d * z + spec.c * (q * flag[:, None])[:, None, :]
-    decay = (1.0 - spec.c - spec.d) ** np.arange(T + 1)
-    return np.tensordot(decay, W, axes=(0, 1)) + sampler.det[community]
-
-
-@pytest.mark.parametrize("law", sorted(SIGNAL_LAWS))
-def test_streamed_stationary_matches_one_shot(law, monkeypatch):
-    # 400 draws x 3 topics is a multiple of 4 (also per BLAS thread), so
-    # tensordot sends every value through OpenBLAS's main gemv path, the
-    # one the streamed sampler's padded blocks always take
-    sampler = streamed_sampler(law)
+    a, w = 1.0 - spec.c - spec.d, spec.signal_belief_weight
+    size = 401
     for r in range(2):
-        ref = one_shot_stationary(sampler, r, np.random.default_rng(11), 400)
-        for chunk in (meanfield._SIGNAL_CHUNK, 7, 1000, 2**40):
-            monkeypatch.setattr(meanfield, "_SIGNAL_CHUNK", chunk)
-            out = sampler.sample(r, np.random.default_rng(11), size=400)
-            assert out.tobytes() == ref.tobytes(), (law, r, chunk)
+        ref_rng = np.random.default_rng(11)
+        q = spec.belief_dists[r].sample(ref_rng, size=size)
+        flag = ref_rng.random(size) < sampler.model.no_inbound_prob[r]
+        frames = np.stack([spec.signal_dists[r].sample(ref_rng, size=size) for _ in range(T + 1)])
+        W = spec.d * ((1.0 - w) * frames + w * q) + spec.c * q * flag[:, None]
+        ref = np.tensordot(a ** np.arange(T, -1, -1), W, axes=(0, 0)) + sampler.det[r]
+        rng = np.random.default_rng(11)
+        out = sampler.sample(r, rng, size=size)
+        assert np.allclose(out, ref, rtol=0.0, atol=1e-14), (law, r)
+        assert rng.random() == ref_rng.random(), (law, r)
+
+
+def test_limit_frame_is_the_graph_frame():
+    # one community: the limit frame of the graph's own beliefs and flags
+    # is the graph frame, byte for byte, from the same generator state
+    spec = ModelSpec(
+        K=1, ell=3, pi=[1.0], kappa=[[1.0]], c=0.3, d=0.25, H=1.0,
+        weight_dists=[[Uniform(0.2, 1.0)]],
+        belief_dists=[VectorDist((Uniform(-1.0, 1.0), Point(0.3), Uniform(-0.5, 0.5)))],
+        signal_dists=[VectorDist(tuple(SIGNAL_LAWS["mix"](0, j) for j in range(3)))],
+        signal_belief_weight=0.25,
+    )
+    graph = ol.sample_graph(spec, ol.sample_labels(spec, 200, 1), 2.0, 1)
+    assert graph.no_inbound.any() and not graph.no_inbound.all()
+    graph_W = ol.sample_signal_frame(spec, graph, np.random.default_rng(8)).W
+    terms = frame_terms(spec, graph.beliefs, graph.no_inbound)
+    limit_W = meanfield.limit_frame(spec, 0, terms, np.random.default_rng(8))
+    assert graph_W.tobytes() == limit_W.tobytes()
 
 
 @pytest.mark.parametrize("law", sorted(SIGNAL_LAWS))
-def test_streamed_stationary_chunk_invariant_at_any_size(law, monkeypatch):
-    # at 401 draws tensordot rounds its last 401 * 3 mod 4 values on the
-    # remainder path, so it only agrees to rounding; the streamed bytes
-    # still do not depend on the chunk size
-    sampler = streamed_sampler(law)
-    ref = one_shot_stationary(sampler, 1, np.random.default_rng(4), 401)
-    outs = []
-    for chunk in (7, 1000, 2**40):
-        monkeypatch.setattr(meanfield, "_SIGNAL_CHUNK", chunk)
-        outs.append(sampler.sample(1, np.random.default_rng(4), size=401).tobytes())
-    assert outs[0] == outs[1] == outs[2]
-    assert np.allclose(np.frombuffer(outs[0]).reshape(401, 3), ref, rtol=0.0, atol=1e-14)
+def test_stationary_draws_match_closed_form_moments(law):
+    # X = det + sum_{t<=T} a^t W_t with W_t = d(1-w) z_t + q (dw + c flag):
+    # E X = det + S1 (d((1-w) Ez + w Eq) + c p0 Eq) and
+    # Var X = d^2 (1-w)^2 Var z S2 + S1^2 Var(q (dw + c flag))
+    sampler = law_sampler(law, theta=2.0, tol=1e-3)
+    spec, T = sampler.spec, sampler.horizon
+    c, d, w = spec.c, spec.d, spec.signal_belief_weight
+    powers = (1.0 - c - d) ** np.arange(T + 1)
+    S1, S2 = powers.sum(), (powers**2).sum()
+    size = 20000
+    for r in range(2):
+        p0 = sampler.model.no_inbound_prob[r]
+        assert p0 > 0.01
+        Ez, Ez2 = spec.signal_dists[r].mean(), spec.signal_dists[r].second_moment()
+        Eq, Eq2 = spec.belief_dists[r].mean(), spec.belief_dists[r].second_moment()
+        mean = sampler.det[r] + S1 * (d * ((1.0 - w) * Ez + w * Eq) + c * p0 * Eq)
+        coef2 = (d * w) ** 2 + 2.0 * d * w * c * p0 + c**2 * p0
+        var_q = Eq2 * coef2 - (Eq * (d * w + c * p0)) ** 2
+        var = d**2 * (1.0 - w) ** 2 * (Ez2 - Ez**2) * S2 + S1**2 * var_q
+        X = sampler.sample(r, np.random.default_rng(31 + r), size=size)
+        dev = X - X.mean(axis=0)
+        sample_var = (dev**2).mean(axis=0)
+        var_se = np.sqrt(np.maximum((dev**4).mean(axis=0) - sample_var**2, 0.0) / size)
+        assert np.all(np.abs(X.mean(axis=0) - mean) <= 4.0 * np.sqrt(var / size) + 1e-12), (law, r)
+        assert np.all(np.abs(sample_var - var) <= 4.0 * var_se + 1e-12), (law, r)
 
 
 def test_streamed_stationary_memory_is_bounded():

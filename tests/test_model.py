@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from opinionlab.distributions import Point, Uniform, VectorDist
+from opinionlab.dynamics import assemble_frame, frame_terms
 from opinionlab.model import ModelSpec, SpecError
 
 from conftest import random_spec
@@ -88,7 +89,7 @@ def test_signal_belief_mixing_mean_and_samples():
     kw["signal_dists"] = [VectorDist((Point(0.2),)), VectorDist((Point(0.2),))]
     spec = ModelSpec(**kw)
     assert spec.signal_mean_matrix()[:, 0] == pytest.approx([0.5, -0.1])
-    labels = np.array([0, 1])
     beliefs = np.array([[0.8], [-0.4]])
-    z = spec.sample_signals(labels, beliefs, np.random.default_rng(1))
-    assert z[:, 0] == pytest.approx([0.5, -0.1])
+    terms = frame_terms(spec, beliefs, np.array([False, True]))
+    W = assemble_frame(spec, np.full((2, 1), 0.2), terms)
+    assert W[:, 0] == pytest.approx([spec.d * 0.5, spec.d * -0.1 + spec.c * -0.4])
