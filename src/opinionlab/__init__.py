@@ -4,7 +4,7 @@ that measure how fast the two agree."""
 
 __version__ = "0.1.0"
 
-from .model import ModelSpec, SpecError
+from .model import ModelSpec
 from .graph import GraphSample, InfluenceMatrix, normalize_weights, sample_graph, sample_labels
 from .dynamics import (
     OpinionState, SignalFrame, TrajectoryRecord, hop_weight, hop_weight_table,
@@ -12,8 +12,8 @@ from .dynamics import (
 )
 from .meanfield import (
     MeanFieldModel, RegimeStats, StationarySampler, build_meanfield_model,
-    deterministic_profile, intermediate_trajectory, meanfield_trajectory, mixing_matrix,
-    no_inbound_prob, regime_stats, share_mismatch, stationary_horizon,
+    deterministic_profile, meanfield_trajectory, mixing_matrix, no_inbound_prob,
+    regime_stats, share_mismatch, stationary_horizon,
 )
 from .gwtree import (
     NeighborhoodDiagnostic, TreeBudgetError, a_s_profile, neighborhood_diagnostic,
@@ -24,5 +24,5 @@ from .metrics import (
     StationarityReport, burn_in_steps, chaos_experiment, concentration_check,
     coupled_gap_run, error_experiment, parse_function, stationarity_experiment,
 )
-from .config import ConfigError, ExperimentConfig, parse_config, serialize_config, theta_value
+from .config import ConfigError, ExperimentConfig, parse_config, theta_value
 from .harness import run

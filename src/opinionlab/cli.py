@@ -12,7 +12,7 @@ negative --seed, a thread count that is not a positive integer, a
 `concentration` run whose `conc_weight` or `conc_value` law lies
 outside its support, several n_grid sizes for a kind that runs one, or
 a `stationary` run whose k_max does not burn in to burn_tol), 3
-runtime/budget error.
+runtime/budget error (also a run that cannot allocate its arrays).
 """
 
 import argparse
@@ -75,7 +75,7 @@ def main(argv=None):
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TreeBudgetError, RuntimeError, OSError, ValueError) as exc:
+    except (TreeBudgetError, RuntimeError, OSError, ValueError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"wrote outputs for kind={summary['kind']} to {cfg.out}")

@@ -465,60 +465,3 @@ def parse_config(text):
     if problems:
         raise ConfigError(problems)
     return cfg
-
-
-def serialize_config(cfg):
-    """Canonical text form; parse(serialize(cfg)) reproduces cfg."""
-    spec = cfg.model
-    lines = [
-        f"kind = {cfg.kind}",
-        f"seed = {cfg.seed}",
-        f"out = {cfg.out}",
-        f"n_grid = {' '.join(str(n) for n in cfg.n_grid)}",
-        f"theta = {cfg.theta_rule}",
-        f"inner_reps = {cfg.inner_reps}",
-        f"outer_reps = {cfg.outer_reps}",
-        f"threads = {cfg.threads}",
-        f"k_max = {cfg.k_max}",
-        f"burn_tol = {cfg.burn_tol!r}",
-        f"k = {cfg.k}",
-        f"limit_reps = {cfg.limit_reps}",
-        f"depth = {cfg.depth}",
-        f"tree_reps = {cfg.tree_reps}",
-        f"vertices_checked = {cfg.vertices_checked}",
-        f"stationary_reps = {cfg.stationary_reps}",
-        f"eps_grid = {' '.join(repr(e) for e in cfg.eps_grid)}",
-        f"count_means = {' '.join(repr(m) for m in cfg.count_means)}",
-        f"conc_weight = {cfg.conc_weight}",
-        f"conc_value = {cfg.conc_value}",
-        f"record = {' '.join(str(v) for v in cfg.record)}",
-    ]
-    if cfg.vertex_sets:
-        lines.append(
-            "vertex_sets = " + " ; ".join(" ".join(str(v) for v in vs) for vs in cfg.vertex_sets)
-        )
-    if cfg.functions:
-        lines.append("functions = " + " ; ".join(" ".join(fs) for fs in cfg.functions))
-    if cfg.measure_functions:
-        lines.append("measure_functions = " + " ".join(cfg.measure_functions))
-    lines += [
-        f"model.K = {spec.K}",
-        f"model.ell = {spec.ell}",
-        f"model.pi = {' '.join(repr(float(p)) for p in spec.pi)}",
-        "model.kappa = " + " ; ".join(" ".join(repr(float(v)) for v in row) for row in spec.kappa),
-        f"model.c = {spec.c!r}",
-        f"model.d = {spec.d!r}",
-        f"model.H = {spec.H!r}",
-        "model.weights = " + " ; ".join(
-            " ".join(spec.weight_dists[r][s].token() for s in range(spec.K)) for r in range(spec.K)
-        ),
-        "model.beliefs = " + " | ".join(dist.token() for dist in spec.belief_dists),
-        "model.signals = " + " | ".join(dist.token() for dist in spec.signal_dists),
-        f"model.signal_belief_weight = {spec.signal_belief_weight!r}",
-        "model.init = " + (
-            "beliefs" if spec.init_dists == "beliefs"
-            else " | ".join(dist.token() for dist in spec.init_dists)
-        ),
-        f"model.fixed_composition = {'true' if spec.fixed_composition else 'false'}",
-    ]
-    return "\n".join(lines) + "\n"

@@ -2,8 +2,8 @@
 
 The lab only admits distributions with closed-form first and second
 moments: point masses, uniforms, affinely rescaled betas, and finite
-mixtures of those.  Each scalar distribution serializes to a compact
-token used by the config format::
+mixtures of those.  The config format writes each scalar distribution
+as a compact token::
 
     point:0.5
     uniform:-1,1
@@ -54,9 +54,6 @@ class Point:
     def support(self):
         return (self.value, self.value)
 
-    def token(self):
-        return f"point:{_fmt(self.value)}"
-
 
 @dataclass(frozen=True)
 class Uniform:
@@ -80,9 +77,6 @@ class Uniform:
 
     def support(self):
         return (self.lo, self.hi)
-
-    def token(self):
-        return f"uniform:{_fmt(self.lo)},{_fmt(self.hi)}"
 
 
 @dataclass(frozen=True)
@@ -115,11 +109,6 @@ class ScaledBeta:
 
     def support(self):
         return (self.lo, self.hi)
-
-    def token(self):
-        if (self.lo, self.hi) == (0.0, 1.0):
-            return f"beta:{_fmt(self.a)},{_fmt(self.b)}"
-        return f"beta:{_fmt(self.a)},{_fmt(self.b)},{_fmt(self.lo)},{_fmt(self.hi)}"
 
 
 @dataclass(frozen=True)
@@ -165,10 +154,6 @@ class Mixture:
         lows, highs = zip(*(comp.support() for comp in self.components))
         return (min(lows), max(highs))
 
-    def token(self):
-        parts = [f"{_fmt(w)}*{comp.token()}" for w, comp in zip(self.weights, self.components)]
-        return "mix:" + "+".join(parts)
-
 
 @dataclass(frozen=True)
 class VectorDist:
@@ -195,9 +180,6 @@ class VectorDist:
         lows, highs = zip(*(comp.support() for comp in self.components))
         return (min(lows), max(highs))
 
-    def token(self):
-        return " ".join(comp.token() for comp in self.components)
-
     def __len__(self):
         return len(self.components)
 
@@ -217,13 +199,6 @@ def sample_by_label(dists, labels, rng, shape=()):
         if idx.size:
             rows[idx] = dist.sample(rng, size=idx.size)
     return out
-
-
-def _fmt(x):
-    x = float(x)
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
 
 
 def parse_scalar(token):

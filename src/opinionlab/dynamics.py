@@ -9,8 +9,10 @@ k-step state into powers of C with binomial hop weights
 
     hop_weight(s, t) = binom(t, s) * (1 - c - d)^(t - s) * c^s,
 
-which is the coefficient of C^s after t steps; the mean-field profile
-weighs powers of the mixing matrix with them.
+which is the coefficient of C^s after t steps.  No run evaluates the
+unrolled form: the mean-field profile runs the recursion itself on the
+community means (meanfield.deterministic_profile), and the tests check
+it against these coefficients.
 """
 
 import math

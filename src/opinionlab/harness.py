@@ -23,8 +23,8 @@ from . import __version__
 from . import rng as rngmod
 from .rng import substream
 from .config import (
-    DEFAULT_VERTEX_SETS, ConfigError, concentration_laws, graph_size, serialize_config,
-    stationary_k_long, theta_value,
+    DEFAULT_VERTEX_SETS, ConfigError, concentration_laws, graph_size, stationary_k_long,
+    theta_value,
 )
 from .graph import normalize_weights, sample_graph, sample_labels
 from .dynamics import simulate
@@ -65,9 +65,18 @@ def write_csv(path, header, rows):
 
 
 def config_hash(cfg):
-    """Digest of the config fields that can change output bytes."""
-    text = serialize_config(dataclasses.replace(cfg, threads=1, out=""))
+    """Digest of the config fields that can change output bytes: the
+    canonical JSON of the parsed config with threads and out blanked."""
+    text = json.dumps(dataclasses.replace(cfg, threads=1, out=""), sort_keys=True,
+                      default=_hash_default)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _hash_default(obj):
+    """A dataclass as its type name and field values; else _json_default."""
+    if dataclasses.is_dataclass(obj):
+        return [type(obj).__name__, {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}]
+    return _json_default(obj)
 
 
 def run(cfg, out_dir=None):

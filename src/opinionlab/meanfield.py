@@ -12,8 +12,10 @@ corresponding K x K product row by label, so everything here works at
 K x K size.
 
 The mean-field trajectory of a vertex combines its own decayed signal
-stream with deterministic community terms assembled from powers of the
-mixing matrix and the hop-weight table.
+stream with deterministic community terms.  Those terms come from the
+community means, which run the opinion recursion with the mixing
+matrix in place of C, so both are short recursions: ExplicitProcess
+per vertex, deterministic_profile per community.
 
 Limit-side draws (chaos limit trajectories, the stationary sampler) run
 that process on graph-free vertices.  A call draws all beliefs, then
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ExplicitProcess, assemble_frame, frame_terms, hop_weight_table
+from .dynamics import ExplicitProcess, assemble_frame, frame_terms
 
 
 def _listening_mass(moment, shares, kappa):
@@ -102,28 +104,21 @@ def build_meanfield_model(spec, n, theta, census):
 
 
 def deterministic_profile(mixing, signal_mean, initial_mean, c, d, k_max):
-    """Community-level deterministic terms of the trajectory.
+    """Community-level deterministic terms of the trajectory, (k_max+1, K, ell).
 
-    Returns (k_max+1, K, ell); entry k is the sum over past steps of
-    hop-weighted mixing powers applied to the signal mean, plus the
-    hop-weighted powers applied to the initial mean at lag k.
+    The community means follow the opinion recursion with the mixing
+    matrix in place of C: m_0 = initial_mean and, with a = 1-c-d,
+    m_k = a * m_{k-1} + c * mixing @ m_{k-1} + signal_mean.  Entry k is
+    m_k minus a vertex's own part a^k * initial_mean + sum_j a^(k-j) *
+    signal_mean, so det_0 = 0 and det_k = a * det_{k-1} + c * mixing @ m_{k-1}.
     """
-    K, ell = np.asarray(signal_mean).shape
-    table = hop_weight_table(k_max, c, d)
-    powers_W = np.empty((k_max + 1, K, ell))
-    powers_R = np.empty((k_max + 1, K, ell))
-    powers_W[0] = signal_mean
-    powers_R[0] = initial_mean
-    for s in range(1, k_max + 1):
-        powers_W[s] = mixing @ powers_W[s - 1]
-        powers_R[s] = mixing @ powers_R[s - 1]
-    det = np.zeros((k_max + 1, K, ell))
-    cum_signal = np.zeros((K, ell))
+    a = 1.0 - c - d
+    mean = np.array(initial_mean, dtype=float)
+    det = np.zeros((k_max + 1,) + mean.shape)
     for k in range(1, k_max + 1):
-        init_block = np.tensordot(table[k, 1 : k + 1], powers_R[1 : k + 1], axes=(0, 0))
-        det[k] = cum_signal + init_block
-        # the lag-k signal term only enters from step k+1 onward
-        cum_signal += np.tensordot(table[k, 1 : k + 1], powers_W[1 : k + 1], axes=(0, 0))
+        pull = c * (mixing @ mean)
+        det[k] = a * det[k - 1] + pull
+        mean = a * mean + pull + signal_mean
     return det
 
 
@@ -145,18 +140,6 @@ def meanfield_trajectory(community, signal_draws, mixing, signal_mean, initial_m
     process = ExplicitProcess(initial_row, c, d)
     steps = [process.advance(signal_draws[k - 1], profile[k, community]) for k in range(1, k_max + 1)]
     return np.array([initial_row] + steps)
-
-
-def intermediate_trajectory(community, signal_draws, initial_row, model, c, d, k_max,
-                            profile=None):
-    """Finite-n intermediate construction: same shape as the mean-field
-    trajectory with the empirical-share matrix in place of the limit
-    one, evaluated through the K x K reduction (the n x n averaged
-    matrix is never materialized)."""
-    return meanfield_trajectory(
-        community, signal_draws, model.mixing_emp, model.signal_mean,
-        model.initial_mean, initial_row, c, d, k_max, profile=profile,
-    )
 
 
 @dataclass
@@ -214,10 +197,10 @@ class StationarySampler:
     """Draws from the truncated stationary opinion law of one community.
 
     A draw is the explicit process started from zero and run one step
-    past the horizon, plus the signal-only deterministic community term
-    assembled from mixing powers; only its last state is read.  The
-    horizon comes from the explicit geometric tail bound, never a fixed
-    constant.  sample() draws the beliefs, then the no-inbound flags,
+    past the horizon, plus the signal-only community term (the profile
+    run from a zero initial mean, at that step); only its last state is
+    read.  The horizon comes from the explicit geometric tail bound,
+    never a fixed constant.  sample() draws the beliefs, then the no-inbound flags,
     then one signal frame per step with the topics in order, so its
     working memory is a few (size, ell) arrays whatever the horizon.
     """
@@ -227,7 +210,7 @@ class StationarySampler:
         self.model = model
         self.tol = float(tol)
         self.horizon = T = stationary_horizon(tol, spec.d, spec.ell)
-        # signal-only deterministic part: the profile's signal sum over lags 1..T
+        # signal-only deterministic part: the community means run from zero
         no_init = np.zeros_like(model.signal_mean)
         self.det = deterministic_profile(model.mixing, model.signal_mean, no_init,
                                          spec.c, spec.d, T + 1)[T + 1]

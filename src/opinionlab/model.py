@@ -14,10 +14,6 @@ import numpy as np
 from .distributions import VectorDist, sample_by_label, supported_in
 
 
-class SpecError(ValueError):
-    """Raised when a ModelSpec violates one of its invariants."""
-
-
 @dataclass
 class ModelSpec:
     """Parameters of the opinion model and its random graph.
@@ -136,12 +132,6 @@ class ModelSpec:
                     elif not supported_in(dist, -1.0, 1.0):
                         problems.append(f"init_dists[{r}]: support outside [-1, 1]")
         return problems
-
-    def check(self):
-        problems = self.validate()
-        if problems:
-            raise SpecError("; ".join(problems))
-        return self
 
     # ---- closed-form moments used by the mean-field construction ----
 

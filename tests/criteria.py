@@ -24,8 +24,8 @@ from opinionlab.distributions import Point, Uniform, VectorDist
 from opinionlab.dynamics import OpinionState, SignalFrame, hop_weight_table, iterate
 from opinionlab.graph import InfluenceMatrix
 from opinionlab.meanfield import (
-    build_meanfield_model, deterministic_profile, intermediate_trajectory,
-    meanfield_trajectory, mixing_matrix, share_mismatch,
+    build_meanfield_model, deterministic_profile, meanfield_trajectory, mixing_matrix,
+    share_mismatch,
 )
 from opinionlab.metrics import ConcentrationCase, burn_in_steps
 from opinionlab.model import ModelSpec
@@ -168,8 +168,9 @@ def criterion_4():
             mf = meanfield_trajectory(r, sig, model.mixing, model.signal_mean,
                                       model.initial_mean, R0, spec.c, spec.d, k_max,
                                       profile=prof_mf)
-            im = intermediate_trajectory(r, sig, R0, model, spec.c, spec.d, k_max,
-                                         profile=prof_im)
+            im = meanfield_trajectory(r, sig, model.mixing_emp, model.signal_mean,
+                                      model.initial_mean, R0, spec.c, spec.d, k_max,
+                                      profile=prof_im)
             sup = max(sup, float(np.abs(mf - im).sum(axis=1).max()))
         if not sup <= bound:
             failures.append((case, sup, bound))

@@ -1,12 +1,13 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from opinionlab.config import (
-    ConfigError, parse_config, serialize_config, stationary_k_long, theta_value,
-)
+from opinionlab.config import ConfigError, parse_config, stationary_k_long, theta_value
+from opinionlab.distributions import Mixture, Point, Uniform, VectorDist
+from opinionlab.harness import config_hash
 from opinionlab.metrics import burn_in_steps
 
 MINIMAL = """
@@ -121,16 +122,47 @@ def test_unknown_keys_rejected():
     assert any("mystery" in p for p in err.value.problems)
 
 
-def test_full_round_trip():
+def test_full_config_parses():
     cfg = parse_config(FULL_K3)
-    text = serialize_config(cfg)
-    again = parse_config(text)
-    assert serialize_config(again) == text
-    assert again.model.K == 3
-    assert again.model.init_dists == "beliefs"
-    assert again.vertex_sets == [[0, 1], [2, 3]]
-    assert again.model.weight_dists[2][2].token().startswith("mix:")
-    assert np.allclose(again.model.pi, [0.2, 0.3, 0.5])
+    assert cfg.model.K == 3
+    assert cfg.model.init_dists == "beliefs"
+    assert cfg.vertex_sets == [[0, 1], [2, 3]]
+    assert cfg.model.weight_dists[2][2] == Mixture((0.5, 0.5), (Point(0.2), Uniform(0.0, 1.0)))
+    assert np.allclose(cfg.model.pi, [0.2, 0.3, 0.5])
+
+
+# one changed value for every output-relevant field of FULL_K3
+CONFIG_CHANGES = {
+    "kind": "error", "seed": 100, "n_grid": [401], "theta_rule": "pow:0.7", "inner_reps": 13,
+    "outer_reps": 3, "k_max": 7, "burn_tol": 1e-5, "k": 4, "vertex_sets": [[0, 1], [2, 4]],
+    "functions": [["proj:0,3", "proj:0,3"], ["proj:1,2", "one"]], "measure_functions": ["one"],
+    "limit_reps": 4001, "depth": 3, "tree_reps": 10001, "vertices_checked": 101,
+    "stationary_reps": 20001, "eps_grid": [0.1, 0.2], "count_means": [60.0],
+    "conc_weight": "point:0.5", "conc_value": "uniform:-1,0", "record": [1],
+}
+SPEC_CHANGES = {
+    "K": 4, "ell": 3, "pi": [0.3, 0.2, 0.5], "kappa": [[2, 1, 0.5], [1, 2, 1], [0.5, 1, 2.5]],
+    "c": math.nextafter(0.25, 1.0), "d": 0.35, "H": 3.0,
+    "weight_dists": lambda w: [[Point(1.5), *w[0][1:]], *w[1:]],
+    "belief_dists": lambda b: b[::-1], "signal_dists": lambda s: s[::-1],
+    "signal_belief_weight": 0.5, "init_dists": [VectorDist((Uniform(-1.0, 1.0),) * 2)] * 3,
+    "fixed_composition": False,
+}
+
+
+def test_config_hash_sees_every_output_field():
+    cfg = parse_config(FULL_K3)
+    base = config_hash(cfg)
+    assert config_hash(dataclasses.replace(cfg, threads=1, out="elsewhere")) == base
+    assert set(CONFIG_CHANGES) == {f.name for f in dataclasses.fields(cfg)} - {"threads", "out", "model"}
+    assert set(SPEC_CHANGES) == {f.name for f in dataclasses.fields(cfg.model)}
+    for name, value in CONFIG_CHANGES.items():
+        assert config_hash(dataclasses.replace(cfg, **{name: value})) != base, name
+    for name, value in SPEC_CHANGES.items():
+        if callable(value):
+            value = value(getattr(cfg.model, name))
+        spec = dataclasses.replace(cfg.model, **{name: value})
+        assert config_hash(dataclasses.replace(cfg, model=spec)) != base, name
 
 
 def test_json_config_accepted():
@@ -150,7 +182,7 @@ def test_json_config_accepted():
     cfg = parse_config(json.dumps(doc))
     assert cfg.kind == "meanfield"
     assert cfg.model.kappa.tolist() == [[2.0, 1.0], [1.0, 2.0]]
-    assert cfg.model.weight_dists[0][1].token() == "point:1"
+    assert cfg.model.weight_dists[0][1] == Point(1.0)
 
 
 def test_theta_rules():

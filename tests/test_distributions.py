@@ -111,21 +111,23 @@ def test_import_leaves_scipy_special_unloaded():
 
 
 @pytest.mark.parametrize(
-    "token",
-    ["point:0.5", "uniform:-1,1", "beta:2,3", "beta:2,3,-1,1",
-     "mix:0.25*point:1+0.75*uniform:0,1"],
+    "token, expected",
+    [
+        ("point:0.5", Point(0.5)),
+        ("uniform:-1,1", Uniform(-1.0, 1.0)),
+        ("beta:2,3", ScaledBeta(2.0, 3.0, 0.0, 1.0)),
+        ("beta:2,3,-1,1", ScaledBeta(2.0, 3.0, -1.0, 1.0)),
+        ("mix:0.25*point:1+0.75*uniform:0,1", Mixture((0.25, 0.75), (Point(1.0), Uniform(0.0, 1.0)))),
+    ],
 )
-def test_token_round_trip(token):
-    dist = parse_scalar(token)
-    again = parse_scalar(dist.token())
-    assert again == dist
+def test_token_parses(token, expected):
+    assert parse_scalar(token) == expected
 
 
 @given(st.integers(min_value=0, max_value=10_000))
-def test_random_dists_round_trip_and_moment_consistency(seed):
+def test_random_dists_moment_consistency(seed):
     rng = np.random.default_rng(seed)
     dist = random_scalar_dist(rng, -1.0, 1.0)
-    assert parse_scalar(dist.token()) == dist
     # second moment dominates squared mean
     assert dist.second_moment() >= dist.mean() ** 2 - 1e-12
     assert supported_in(dist, -1.0, 1.0)

@@ -53,15 +53,15 @@ CONFIGS = {
 
 DIGESTS = {
     "chaos": {
-        "chaos.csv": "efcc52c314961a29d1d865f70963c218c423367ff56e1192dbf3762ff26532fd",
-        "summary.json": "93e6e86c327fcd96ea6e3b4e0d31429fcc7f95f57adae60268153d30a0ba60b6",
+        "chaos.csv": "a9b15fdb225e4e27feddc37aec041d3d9fcaa41965a89ae07d5b1ad4cfce4af3",
+        "summary.json": "42dd499ffd4472c9be9d8065cf625c7a071094add23d09ce49982d23afd6fdfb",
     },
     "concentration": {
         "concentration.csv": "a1174adcb73eac7aaae02d082baabe166d4f64c92b508542a33468503b44622c",
         "summary.json": "343e028e617fb2880d4a6ddc0746d2cd64dae1521afc4549b87de818624a9ab5",
     },
     "error": {
-        "error_curve.csv": "bee04db95bf6d816e89ad8ebff86a9415387bd0dbf220411113fcc52582dfcb3",
+        "error_curve.csv": "a5cd713973020314f3366b043e35009818737458f5d1bbe445e50988819b73d7",
         "summary.json": "0a07dfedc7a247949c681db4b9effd1a3b53d4d81971848d8e2efd0fbf027433",
     },
     "meanfield": {
@@ -73,8 +73,8 @@ DIGESTS = {
         "trajectories.csv": "093c58f7611cf2ed0e09f1801e1342be4131dc8b14d9efc83da34d5309cbda56",
     },
     "stationary": {
-        "stationarity.csv": "8dccd4e1c465d69c98823c019add8508e8386dbbd889aebc0b70ca5f561a74d8",
-        "summary.json": "947186335d7e2dfbae7d78b1da3e643688c04ad757e4adc2559117695cbc0d9e",
+        "stationarity.csv": "f241fad3758f7a410428a8d9a1901cca0593fe89afbe74783c193d38a41ecc5c",
+        "summary.json": "756139b280578ed942938848744bb057ce238c9fffd25e7df9fa652894db6c90",
     },
     "tree": {
         "summary.json": "1de4fe1dfa53209f95fa16a716bd08297dc354b8820d7a581f77329982d3d955",
@@ -106,8 +106,8 @@ HIGH_DEGREE_CONFIG = (
 )
 
 HIGH_DEGREE_DIGESTS = {
-    "stationarity.csv": "908cfa45a525e209fc88acce8aece62b08d0027384e17b6399aaa1d68f512213",
-    "summary.json": "a4c67a671e5b7363fc3851d0aab01845be9878b6fb0f374b45eed9d6af62e119",
+    "stationarity.csv": "b1af40bc6c8cc1b06333a1682edbe17532365b9a6039153273e5ed220dd71ed0",
+    "summary.json": "5107e11f574bdc63c285ecfc9f6365ecb4ecbb49516139b779ae96353b5d6298",
 }
 
 

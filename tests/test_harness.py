@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -249,6 +250,24 @@ def test_cli_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "model_report.json").exists()
+
+
+def test_cli_allocation_failure_is_runtime_error(tmp_path):
+    # n = 1e13 passes validation, but one n-long float64 array needs 72.8 TiB; the
+    # address-space limit makes the allocation fail whatever the overcommit policy
+    cfg_path = tmp_path / "huge.cfg"
+    cfg_path.write_text("kind = meanfield\nseed = 1\nn_grid = 10000000000000\ntheta = const:5\n"
+                        "model.K = 1\nmodel.ell = 1\nmodel.pi = 1\nmodel.kappa = 1\n")
+    limit = 3 * 2**30
+    proc = subprocess.run(
+        [sys.executable, "-m", "opinionlab.cli", "meanfield",
+         "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),  # BLAS buffers per core count toward the limit
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert any(line.startswith("runtime error:") for line in proc.stderr.splitlines())
 
 
 def _run_cli(tmp_path, name, extra_cfg="", flags=()):

@@ -11,9 +11,8 @@ from opinionlab import meanfield
 from opinionlab.distributions import Mixture, Point, ScaledBeta, Uniform, VectorDist
 from opinionlab.dynamics import frame_terms
 from opinionlab.meanfield import (
-    build_meanfield_model, deterministic_profile, intermediate_trajectory,
-    meanfield_trajectory, mixing_matrix, no_inbound_prob, share_mismatch,
-    stationary_horizon, StationarySampler,
+    build_meanfield_model, deterministic_profile, meanfield_trajectory, mixing_matrix,
+    no_inbound_prob, share_mismatch, stationary_horizon, StationarySampler,
 )
 from opinionlab.model import ModelSpec
 
@@ -224,6 +223,76 @@ def test_trajectory_matches_literal_double_sum():
             assert np.abs(out[k] - expect).max() < 1e-12
 
 
+def unrolled_profile(mixing, signal_mean, initial_mean, c, d, k_max):
+    """The profile from its binomial expansion: entry k sums hop_weight(s, t)
+    mixing^s signal_mean over 1 <= s <= t < k, plus hop_weight(s, k)
+    mixing^s initial_mean over 1 <= s <= k."""
+    from opinionlab.dynamics import hop_weight_table
+
+    table = hop_weight_table(k_max, c, d)
+    powers_W, powers_R = [signal_mean], [initial_mean]
+    for _ in range(k_max):
+        powers_W.append(mixing @ powers_W[-1])
+        powers_R.append(mixing @ powers_R[-1])
+    powers_W, powers_R = np.array(powers_W), np.array(powers_R)
+    out = np.zeros((k_max + 1,) + signal_mean.shape)
+    signal_sum = np.zeros(signal_mean.shape)
+    for k in range(1, k_max + 1):
+        out[k] = signal_sum + np.tensordot(table[k, 1:k + 1], powers_R[1:k + 1], axes=(0, 0))
+        signal_sum += np.tensordot(table[k, 1:k + 1], powers_W[1:k + 1], axes=(0, 0))
+    return out
+
+
+PROFILE_CASES = [
+    # (seed, K, ell, c, d, zero mixing row)
+    *[(seed, 1 + seed % 4, 1 + seed % 3, None, None, False) for seed in range(8)],
+    (20, 3, 2, 0.0, 0.4, False),     # c = 0: no network pull
+    (21, 2, 3, 0.75, 0.25, False),   # c + d = 1 exactly: a = 0
+    (22, 4, 1, 0.7, 0.3, False),     # c + d = 1 up to rounding: a = 5.6e-17
+    (23, 3, 3, 0.4, 0.1, True),      # a community with no inbound mass
+    (24, 1, 2, 0.3, 0.01, False),    # slow decay: a^250 still 0.08
+]
+
+
+@pytest.mark.parametrize("seed, K, ell, c, d, zero_row", PROFILE_CASES)
+def test_profile_matches_hop_weight_sums(seed, K, ell, c, d, zero_row):
+    # the community-mean recursion against its binomial expansion, past the
+    # log-space hop weights (t > 200)
+    rng = np.random.default_rng(seed)
+    if c is None:
+        c, d = rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.45)
+    mixing = rng.dirichlet(np.ones(K), size=K)
+    if zero_row:
+        mixing[0] = 0.0
+    signal_mean = d * rng.uniform(-1, 1, size=(K, ell))
+    initial_mean = rng.uniform(-1, 1, size=(K, ell))
+    k_max = 250
+    prof = deterministic_profile(mixing, signal_mean, initial_mean, c, d, k_max)
+    assert prof.shape == (k_max + 1, K, ell)
+    expect = unrolled_profile(mixing, signal_mean, initial_mean, c, d, k_max)
+    assert np.abs(prof - expect).max() < 1e-12
+    if zero_row:
+        assert np.all(prof[:, 0] == 0.0)
+
+
+def test_stationary_setup_memory_is_bounded():
+    # horizon 1833: the profile holds (T + 2) K x ell entries, never a T x T table
+    spec = ModelSpec(
+        K=1, ell=1, pi=[1.0], kappa=[[1.0]], c=0.3, d=0.01, H=1.0,
+        weight_dists=[[Point(1.0)]], belief_dists=[VectorDist((Uniform(-1.0, 1.0),))],
+        signal_dists=[VectorDist((Uniform(-0.5, 0.5),))],
+    )
+    model = build_meanfield_model(spec, 2000, 600.0, np.array([2000]))
+    tracemalloc.start()
+    try:
+        sampler = StationarySampler(spec, model, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sampler.horizon == 1833
+    assert peak < 2**20
+
+
 def test_stationary_matches_time_reversed_trajectory():
     # the stationary functional is the long-horizon trajectory with the
     # signal sequence consumed in reverse order
@@ -292,7 +361,8 @@ def test_influence_block_sums_concentrate_on_mixing_rows():
     R0 = rng.uniform(-1, 1, size=spec.ell)
     mf = meanfield_trajectory(1, sig, model.mixing, model.signal_mean,
                               model.initial_mean, R0, spec.c, spec.d, 5)
-    im = intermediate_trajectory(1, sig, R0, model, spec.c, spec.d, 5)
+    im = meanfield_trajectory(1, sig, model.mixing_emp, model.signal_mean,
+                              model.initial_mean, R0, spec.c, spec.d, 5)
     assert np.allclose(mf, im)
 
 
@@ -313,7 +383,8 @@ def test_intermediate_meanfield_sup_bound():
             R0 = rng.uniform(-1, 1, size=spec.ell)
             mf = meanfield_trajectory(r, sig, model.mixing, model.signal_mean,
                                       model.initial_mean, R0, spec.c, spec.d, k_max)
-            im = intermediate_trajectory(r, sig, R0, model, spec.c, spec.d, k_max)
+            im = meanfield_trajectory(r, sig, model.mixing_emp, model.signal_mean,
+                                      model.initial_mean, R0, spec.c, spec.d, k_max)
             sup = np.abs(mf - im).sum(axis=1).max()
             assert sup <= bound + 1e-12
 

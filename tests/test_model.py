@@ -3,7 +3,7 @@ import pytest
 
 from opinionlab.distributions import Point, Uniform, VectorDist
 from opinionlab.dynamics import assemble_frame, frame_terms
-from opinionlab.model import ModelSpec, SpecError
+from opinionlab.model import ModelSpec
 
 from conftest import random_spec
 
@@ -20,7 +20,6 @@ def valid_kwargs():
 def test_valid_spec_passes():
     spec = ModelSpec(**valid_kwargs())
     assert spec.validate() == []
-    assert spec.check() is spec
 
 
 @pytest.mark.parametrize(
@@ -40,8 +39,6 @@ def test_invariant_violations_reported(mutate, needle):
     mutate(kw)
     problems = ModelSpec(**kw).validate()
     assert any(needle in p for p in problems)
-    with pytest.raises(SpecError):
-        ModelSpec(**kw).check()
 
 
 def test_weight_support_outside_cap_reported():
