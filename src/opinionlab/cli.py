@@ -4,15 +4,14 @@
 
 Subcommands mirror the experiment kinds (simulate, meanfield, error,
 chaos, stationary, concentration, tree); `validate` parses the config
-and reports every violation.  Flags override the corresponding config
-keys; the thread count comes from --threads, else OPINIONLAB_THREADS,
-else the config.  Exit codes: 0 success, 2 config error (also a
-negative --seed, a thread count that is not a positive integer, a
-`record` or `vertex_sets` id that is negative or not below n, a
-`concentration` run whose `conc_weight` or `conc_value` law lies
-outside its support, several n_grid sizes for a kind that runs one, or
-a `stationary` run whose k_max does not burn in to burn_tol), 3
-runtime/budget error (also a run that cannot allocate its arrays).
+for its own kind and reports every violation, and a run command parses
+it for the command's kind.  --seed and --out replace the config's keys
+of those names; the thread count comes from --threads, else
+OPINIONLAB_THREADS, else the config.  Exit codes: 0 success, 2 config
+error (a value outside the bound that README's key table gives it, a
+key the kind does not read, or a thread count that is not a positive
+integer), 3 runtime/budget error (also a run that cannot allocate its
+arrays).
 """
 
 import argparse
@@ -32,7 +31,7 @@ def build_parser():
     for name in COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="config file (key-value text or JSON)")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
+        cmd.add_argument("--seed", default=None, help="override the config seed")
         cmd.add_argument("--out", default=None, help="override the output directory")
         cmd.add_argument("--threads", type=int, default=None, help="worker threads")
     return parser
@@ -46,24 +45,18 @@ def main(argv=None):
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    overrides = {key: val for key, val in (("seed", args.seed), ("out", args.out)) if val is not None}
+    if args.command != "validate":
+        overrides["kind"] = args.command
     try:
-        cfg = parse_config(text)
+        cfg = parse_config(text, **overrides)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
-
-    if args.seed is not None and args.seed < 0:
-        print(f"config error: seed: must be >= 0, got {args.seed}", file=sys.stderr)
-        return EXIT_CONFIG
     if args.command == "validate":
         print("config ok")
         return EXIT_OK
-    cfg.kind = args.command
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
     try:
         cfg.threads = resolve_threads(args.threads, default=cfg.threads)
     except ValueError as exc:

@@ -7,6 +7,10 @@ separate entries with ``|``.  A JSON document (detected by a leading
 ``{``) with the same keys, possibly nested, is accepted as alternative
 input.
 
+Every key is declared once, in ``KEYS``: its default, its parser and
+bound, and the experiment kinds that read it.  A key that the kind
+being run does not read is an error.
+
 Example::
 
     kind = error
@@ -30,11 +34,11 @@ Example::
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionError, parse_scalar, parse_vector, supported_in
+from .distributions import parse_scalar, parse_vector, supported_in
 from .metrics import burn_in_steps, check_burned_in, parse_function
 from .model import ModelSpec
 
@@ -43,8 +47,6 @@ KINDS = ("simulate", "meanfield", "error", "chaos", "stationary", "concentration
 THETA_RULES = ("const", "log", "loglog", "pow", "linear")
 # kinds that run one graph size
 SINGLE_SIZE_KINDS = ("simulate", "meanfield", "chaos", "stationary")
-# the chaos kind's vertex sets when the config lists none
-DEFAULT_VERTEX_SETS = [[0]]
 
 
 class ConfigError(ValueError):
@@ -82,37 +84,36 @@ def theta_value(rule, n):
 
 @dataclass
 class ExperimentConfig:
+    """A parsed config; ``KEYS`` gives each field's key, default and bound."""
+
     kind: str
     seed: int
     out: str
     model: ModelSpec
     n_grid: list
     theta_rule: str
-    inner_reps: int = 10
-    outer_reps: int = 1
-    threads: int = 1
-    k_max: int = 0              # 0: derive from the contraction burn-in
-    burn_tol: float = 1e-4
-    k: int = 2                  # chaos trajectory length
-    vertex_sets: list = field(default_factory=list)
-    functions: list = field(default_factory=list)
-    measure_functions: list = field(default_factory=list)
-    limit_reps: int = 4000
-    depth: int = 2              # tree generation depth
-    tree_reps: int = 10000
-    vertices_checked: int = 100
-    stationary_reps: int = 20000
-    eps_grid: list = field(default_factory=lambda: [0.1, 0.2, 0.5])
-    count_means: list = field(default_factory=lambda: [50.0])
-    conc_weight: str = "point:1"
-    conc_value: str = "uniform:-1,1"
-    record: list = field(default_factory=lambda: [0])
+    inner_reps: int
+    outer_reps: int
+    threads: int
+    k_max: int
+    burn_tol: float
+    k: int
+    vertex_sets: list
+    functions: list
+    measure_functions: list
+    limit_reps: int
+    depth: int
+    tree_reps: int
+    vertices_checked: int
+    stationary_reps: int
+    eps_grid: list
+    count_means: list
+    conc_weight: str
+    conc_value: str
+    record: list
 
     def thetas(self):
         return [theta_value(self.theta_rule, n) for n in self.n_grid]
-
-
-_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def stationary_k_long(cfg):
@@ -203,265 +204,245 @@ def _read_pairs(text):
     return pairs, problems
 
 
-def _parse_vector_field(text):
-    return [float(tok) for tok in text.split()]
+# ---------------------------------------------------------------------------
+# Value parsers: (text, the values of the keys parsed before) -> value.  A
+# text out of bounds raises ValueError naming the problem.
 
 
-def _parse_matrix_field(text):
-    rows = [r.strip() for r in text.split(";")]
-    # np.array raises ValueError on ragged rows, like float() on a bad token
-    return np.array([[float(tok) for tok in row.split()] for row in rows if row])
+def _text(text, values):
+    return text
 
 
-def _parse_model(pairs, problems):
-    def take(key, default=None):
-        return pairs.pop(f"model.{key}", default)
+def _kind(text, values):
+    if text not in KINDS:
+        raise ValueError(f"unknown experiment kind {text!r}; options: {', '.join(KINDS)}")
+    return text
 
-    def bad(key, msg):
-        problems.append(f"model.{key}: {msg}")
 
-    def count(key, what):
-        # a bad count is reported, then replaced by 1 to size the defaults below
+def _integer(minimum):
+    def parse(text, values):
         try:
-            val = int(take(key, "1"))
+            val = int(text)
         except ValueError:
-            bad(key, "not an integer")
-            return 1
-        if val < 1:
-            bad(key, f"{what} count must be >= 1, got {val}")
-            return 1
+            raise ValueError(f"not an integer: {text!r}") from None
+        if val < minimum:
+            raise ValueError(f"must be >= {minimum}, got {val}")
         return val
+    return parse
 
-    K = count("K", "community")
-    ell = count("ell", "topic")
 
-    def number(key, default):
-        txt = take(key, default)
+def _real(positive=False):
+    def parse(text, values):
         try:
-            return float(txt)
+            val = float(text)
         except ValueError:
-            bad(key, f"not a number: {txt!r}")
-            return float(default)
-
-    c = number("c", "0.3")
-    d = number("d", "0.2")
-    H = number("H", "1")
-    w = number("signal_belief_weight", "0")
-
-    try:
-        pi = _parse_vector_field(take("pi", " ".join([repr(1.0 / K)] * K)))
-    except ValueError:
-        bad("pi", "malformed vector")
-        pi = [1.0 / K] * K
-    try:
-        kappa = _parse_matrix_field(take("kappa", ";".join([" ".join(["1"] * K)] * K)))
-    except ValueError:
-        bad("kappa", "malformed matrix")
-        kappa = [[1.0] * K for _ in range(K)]
-
-    def dist_matrix(key, default_tok):
-        text = take(key, None)
-        if text is None:
-            return [[parse_scalar(default_tok)] * K for _ in range(K)]
-        try:
-            rows = [r.strip() for r in text.split(";") if r.strip()]
-            if len(rows) == 1 and K > 1 and len(rows[0].split()) == 1:
-                return [[parse_scalar(rows[0])] * K for _ in range(K)]
-            return [[parse_scalar(tok) for tok in row.split()] for row in rows]
-        except DistributionError as exc:
-            bad(key, str(exc))
-            return [[parse_scalar(default_tok)] * K for _ in range(K)]
-
-    def dist_list(key, default_tok):
-        text = take(key, None)
-        if text is None:
-            return [parse_vector(default_tok, ell) for _ in range(K)]
-        if text == "beliefs":
-            return "beliefs"
-        try:
-            entries = [e.strip() for e in text.split("|") if e.strip()]
-            if len(entries) == 1 and K > 1:
-                entries = entries * K
-            return [parse_vector(entry, ell) for entry in entries]
-        except DistributionError as exc:
-            bad(key, str(exc))
-            return [parse_vector(default_tok, ell) for _ in range(K)]
-
-    weights = dist_matrix("weights", "uniform:0,1")
-    beliefs = dist_list("beliefs", "uniform:-1,1")
-    signals = dist_list("signals", "uniform:-1,1")
-    init = dist_list("init", "uniform:-1,1")
-    flag = take("fixed_composition", "false")
-    fixed = flag.lower() in ("true", "1", "yes")
-    if not fixed and flag.lower() not in ("false", "0", "no"):
-        bad("fixed_composition", f"not a boolean: {flag!r}; use true/false, 1/0 or yes/no")
-
-    spec = ModelSpec(
-        K=K, ell=ell, pi=np.asarray(pi), kappa=np.asarray(kappa), c=c, d=d, H=H,
-        weight_dists=weights,
-        belief_dists=beliefs if beliefs != "beliefs" else [],
-        signal_dists=signals if signals != "beliefs" else [],
-        signal_belief_weight=w, init_dists=init, fixed_composition=fixed,
-    )
-    if beliefs == "beliefs" or signals == "beliefs":
-        problems.append("model.beliefs/model.signals: 'beliefs' only valid for model.init")
-    for issue in spec.validate():
-        problems.append(f"model.{issue}")
-    return spec
-
-
-def parse_config(text):
-    """Parse and validate; raises ConfigError carrying every violation."""
-    pairs, problems = _read_pairs(text)
-    model = _parse_model(pairs, problems)
-
-    def take(key, default=None):
-        return pairs.pop(key, default)
-
-    kind = take("kind", "error")
-    if kind not in KINDS:
-        problems.append(f"kind: unknown experiment kind {kind!r}; options: {', '.join(KINDS)}")
-
-    def integer(key, default, minimum=None):
-        txt = take(key, str(default))
-        try:
-            val = int(txt)
-        except ValueError:
-            problems.append(f"{key}: not an integer: {txt!r}")
-            return default
-        if minimum is not None and val < minimum:
-            problems.append(f"{key}: must be >= {minimum}, got {val}")
-        return val
-
-    def floating(key, default, positive=False):
-        txt = take(key, str(default))
-        try:
-            val = float(txt)
-        except ValueError:
-            problems.append(f"{key}: not a number: {txt!r}")
-            return default
+            raise ValueError(f"not a number: {text!r}") from None
         if not math.isfinite(val):
-            problems.append(f"{key}: must be finite, got {txt!r}")
-        elif positive and val <= 0:
-            problems.append(f"{key}: must be positive, got {val}")
+            raise ValueError(f"must be finite, got {text!r}")
+        if positive and val <= 0:
+            raise ValueError(f"must be positive, got {val}")
         return val
+    return parse
 
-    seed = integer("seed", 0, minimum=0)
-    out = take("out", "results")
 
-    def listed(key, default, parse):
-        txt = take(key, default)
+def _boolean(text, values):
+    flag = text.lower()
+    if flag not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(f"not a boolean: {text!r}; use true/false, 1/0 or yes/no")
+    return flag in ("true", "1", "yes")
+
+
+def _tokens(item):
+    """A space-separated list, each token read by item."""
+    def parse(text, values):
+        return [item(tok, values) for tok in text.split()]
+    return parse
+
+
+def _rows(row):
+    """A ';'-separated list of rows, each read by row; blank rows are skipped."""
+    def parse(text, values):
+        return [row(part, values) for part in text.split(";") if part.strip()]
+    return parse
+
+
+def _sizes(text, values):
+    sizes = _tokens(_integer(1))(text, values)
+    if not sizes:
+        raise ValueError("must not be empty")
+    return sizes
+
+
+def _matrix(text, values):
+    rows = _rows(_tokens(_real()))(text, values)
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("rows differ in length")
+    return np.array(rows)
+
+
+def _weight_laws(text, values):
+    """K x K laws, rows ';'-separated; one token is every entry's law."""
+    K = values["model.K"]
+    rows = _rows(lambda row, _: [parse_scalar(tok) for tok in row.split()])(text, values)
+    if len(rows) == 1 and len(rows[0]) == 1:
+        return [rows[0] * K for _ in range(K)]
+    return rows
+
+
+def _vector_laws(text, values):
+    """One ell-vector law per community, '|'-separated; one entry is every
+    community's law."""
+    laws = [parse_vector(part, values["model.ell"]) for part in text.split("|") if part.strip()]
+    return laws * values["model.K"] if len(laws) == 1 else laws
+
+
+def _initial_laws(text, values):
+    return text if text == "beliefs" else _vector_laws(text, values)
+
+
+def _function_ids(text, values):
+    fids = text.split()
+    for fid in fids:
+        parse_function(fid, values["model.ell"], values["k"])
+    return fids
+
+
+@dataclass
+class Key:
+    """One config key.  ``default`` is the text the key takes when a
+    config omits it, or a function of the values parsed before it that
+    returns that text.  ``parse`` turns text into the value and holds
+    the bound; ``kinds`` are the experiment kinds that read the key;
+    ``field`` is the ExperimentConfig or ModelSpec field it fills."""
+
+    name: str
+    default: object
+    parse: object
+    kinds: tuple = KINDS
+    field: str = ""
+
+    def __post_init__(self):
+        self.field = self.field or self.name.removeprefix("model.")
+
+
+_GRAPH_KINDS = tuple(kind for kind in KINDS if kind != "concentration")
+
+# in parse order: a parser and a default may read the values of the keys above them
+KEYS = {key.name: key for key in (
+    Key("kind", "error", _kind),
+    Key("seed", "0", _integer(0)),
+    Key("out", "results", _text),
+    Key("threads", "1", _integer(1)),
+    Key("model.K", "1", _integer(1)),
+    Key("model.ell", "1", _integer(1)),
+    Key("model.pi", lambda v: " ".join([repr(1.0 / v["model.K"])] * v["model.K"]),
+        _tokens(_real())),
+    Key("model.kappa", lambda v: ";".join([" ".join(["1"] * v["model.K"])] * v["model.K"]),
+        _matrix),
+    Key("model.c", "0.3", _real()),
+    Key("model.d", "0.2", _real()),
+    Key("model.H", "1", _real()),
+    Key("model.signal_belief_weight", "0", _real()),
+    Key("model.weights", "uniform:0,1", _weight_laws, field="weight_dists"),
+    Key("model.beliefs", "uniform:-1,1", _vector_laws, field="belief_dists"),
+    Key("model.signals", "uniform:-1,1", _vector_laws, field="signal_dists"),
+    Key("model.init", "uniform:-1,1", _initial_laws, field="init_dists"),
+    Key("model.fixed_composition", "false", _boolean),
+    Key("n_grid", "1000", _sizes, _GRAPH_KINDS),
+    Key("theta", "log:1", _text, _GRAPH_KINDS, field="theta_rule"),
+    Key("inner_reps", "10", _integer(1),
+        ("simulate", "error", "chaos", "stationary", "concentration")),
+    Key("outer_reps", "1", _integer(1), ("error", "tree")),
+    # 0: derive from the contraction burn-in
+    Key("k_max", "0", _integer(0), ("simulate", "error", "stationary")),
+    Key("burn_tol", "1e-4", _real(positive=True), ("stationary",)),
+    Key("stationary_reps", "20000", _integer(1), ("stationary",)),
+    Key("k", "2", _integer(0), ("chaos",)),
+    Key("vertex_sets", "0", _rows(_tokens(_integer(0))), ("chaos",)),
+    Key("functions",
+        lambda v: ";".join(" ".join([f"proj:0,{v['k']}"] * len(vs)) for vs in v["vertex_sets"]),
+        _rows(_function_ids), ("chaos",)),
+    Key("measure_functions", "", _function_ids, ("chaos",)),
+    Key("limit_reps", "4000", _integer(1), ("chaos",)),
+    Key("depth", "2", _integer(1), ("tree",)),
+    Key("tree_reps", "10000", _integer(1), ("tree",)),
+    Key("vertices_checked", "100", _integer(1), ("tree",)),
+    Key("eps_grid", "0.1 0.2 0.5", _tokens(_real(positive=True)), ("concentration",)),
+    Key("count_means", "50", _tokens(_real(positive=True)), ("concentration",)),
+    Key("conc_weight", "point:1", _text, ("concentration",)),
+    Key("conc_value", "uniform:-1,1", _text, ("concentration",)),
+    Key("record", "0", _tokens(_integer(0)), ("simulate",)),
+)}
+
+
+def parse_config(text, **overrides):
+    """Parse and validate a config for the kind that runs; raises
+    ConfigError carrying every violation.  Each override is the value
+    text of a key (a run command's kind, --seed or --out) and replaces
+    the config's own, so that key's parser checks it."""
+    pairs, problems = _read_pairs(text)
+    pairs.update(overrides)
+    kind = pairs.get("kind", KEYS["kind"].default)
+    values = {}
+    for name, key in KEYS.items():
+        given = pairs.pop(name, None)
+        if given is not None and kind in KINDS and kind not in key.kinds:
+            problems.append(f"{name}: kind {kind} does not read this key; "
+                            f"it is read by {', '.join(key.kinds)}")
+            given = None
+        default = key.default(values) if callable(key.default) else key.default
         try:
-            return parse(txt)
-        except ValueError:
-            problems.append(f"{key}: malformed list {txt!r}")
-            return parse(default)
+            values[name] = key.parse(default if given is None else given, values)
+        except ValueError as exc:
+            problems.append(f"{name}: {exc}")
+            values[name] = key.parse(default, values)
+    problems.extend(f"{name}: unknown key" for name in pairs)
 
-    def ints(txt):
-        return [int(tok) for tok in txt.split()]
+    def filled(model_keys):
+        return {key.field: values[name] for name, key in KEYS.items()
+                if name.startswith("model.") == model_keys}
 
-    n_grid = listed("n_grid", "1000", ints)
-    if not n_grid:
-        problems.append("n_grid: must not be empty")
-    if any(n < 1 for n in n_grid):
-        problems.append("n_grid: entries must be >= 1")
-    record = listed("record", "0", ints)
+    model = ModelSpec(**filled(True))
+    problems.extend(f"model.{issue}" for issue in model.validate())
+    cfg = ExperimentConfig(model=model, **filled(False))
+    _check_cross_keys(cfg, problems)
+    if problems:
+        raise ConfigError(problems)
+    return cfg
 
-    theta_rule = take("theta", "log:1")
-    for n in n_grid:
-        if n < 1:
-            continue
+
+def _check_cross_keys(cfg, problems):
+    """Append the problems of the checks that read several keys, for the
+    kind that runs; a key the kind does not read holds its default, which
+    passes them.  The stationary burn-in check runs only on an otherwise
+    valid config."""
+    for n in cfg.n_grid:
         try:
-            theta = theta_value(theta_rule, n)
+            theta = theta_value(cfg.theta_rule, n)
         except ConfigError as exc:
             problems.extend(exc.problems)
             break
         if not 0 < theta < math.inf:
-            problems.append(f"theta: rule {theta_rule!r} gives theta={theta} at n={n}; "
+            problems.append(f"theta: rule {cfg.theta_rule!r} gives theta={theta} at n={n}; "
                             "need a finite positive value")
             break
-
-    vertex_sets = listed(
-        "vertex_sets", "", lambda txt: [ints(part) for part in txt.split(";") if part.strip()]
-    )
     # simulate records and chaos samples vertices of its one graph size
-    for key, ids in (("record", record), ("vertex_sets", [v for vs in vertex_sets for v in vs])):
-        if any(v < 0 for v in ids):
-            problems.append(f"{key}: vertex ids must be >= 0, got {min(ids)}")
-        elif n_grid and any(v >= n_grid[0] for v in ids):
-            problems.append(f"{key}: vertex ids must be below n = {n_grid[0]}, got {max(ids)}")
-    functions = [
-        part.split() for part in take("functions", "").split(";") if part.strip()
-    ]
-    measure_functions = take("measure_functions", "").split()
-    k = integer("k", _DEFAULTS["k"], minimum=0)
-    if functions:
-        sets = vertex_sets or DEFAULT_VERTEX_SETS
-        if len(functions) != len(sets):
-            problems.append(f"functions: {len(functions)} rows for {len(sets)} vertex sets; "
-                            "give one row per set")
-        for i, (vs, fids) in enumerate(zip(sets, functions)):
-            if len(fids) != len(vs):
-                problems.append(f"functions: row {i} has {len(fids)} ids for {len(vs)} vertices")
-    for key, fids in (("functions", [f for fs in functions for f in fs]),
-                      ("measure_functions", measure_functions)):
-        for fid in fids:
-            try:
-                parse_function(fid, model.ell, k)
-            except ValueError as exc:
-                problems.append(f"{key}: {exc}")
-    conc = {}
-    for key in ("conc_weight", "conc_value"):
-        conc[key] = take(key, _DEFAULTS[key])
+    for key, ids in (("record", cfg.record), ("vertex_sets", sum(cfg.vertex_sets, []))):
+        if any(v >= cfg.n_grid[0] for v in ids):
+            problems.append(f"{key}: vertex ids must be below n = {cfg.n_grid[0]}, got {max(ids)}")
+    if len(cfg.functions) != len(cfg.vertex_sets):
+        problems.append(f"functions: {len(cfg.functions)} rows for {len(cfg.vertex_sets)} "
+                        "vertex sets; give one row per set")
+    for i, (vs, fids) in enumerate(zip(cfg.vertex_sets, cfg.functions)):
+        if len(fids) != len(vs):
+            problems.append(f"functions: row {i} has {len(fids)} ids for {len(vs)} vertices")
+    checks = [graph_size] if cfg.kind in SINGLE_SIZE_KINDS else []
+    if cfg.kind == "concentration":
+        checks.append(concentration_laws)
+    if cfg.kind == "stationary" and not problems:
+        checks.append(stationary_k_long)
+    for check in checks:
         try:
-            parse_scalar(conc[key])
-        except ValueError as exc:
-            problems.append(f"{key}: {exc}")
-    eps_grid = listed("eps_grid", "0.1 0.2 0.5", _parse_vector_field)
-    count_means = listed("count_means", "50", _parse_vector_field)
-    for key, vals in (("eps_grid", eps_grid), ("count_means", count_means)):
-        if not all(0 < v < math.inf for v in vals):
-            problems.append(f"{key}: entries must be finite and positive")
-
-    cfg = ExperimentConfig(
-        kind=kind, seed=seed, out=out, model=model, n_grid=n_grid, theta_rule=theta_rule,
-        inner_reps=integer("inner_reps", _DEFAULTS["inner_reps"], minimum=1),
-        outer_reps=integer("outer_reps", _DEFAULTS["outer_reps"], minimum=1),
-        threads=integer("threads", _DEFAULTS["threads"], minimum=1),
-        k_max=integer("k_max", _DEFAULTS["k_max"], minimum=0),
-        burn_tol=floating("burn_tol", _DEFAULTS["burn_tol"], positive=True),
-        k=k,
-        vertex_sets=vertex_sets,
-        functions=functions,
-        measure_functions=measure_functions,
-        limit_reps=integer("limit_reps", _DEFAULTS["limit_reps"], minimum=1),
-        depth=integer("depth", _DEFAULTS["depth"], minimum=1),
-        tree_reps=integer("tree_reps", _DEFAULTS["tree_reps"], minimum=1),
-        vertices_checked=integer("vertices_checked", _DEFAULTS["vertices_checked"], minimum=1),
-        stationary_reps=integer("stationary_reps", _DEFAULTS["stationary_reps"], minimum=1),
-        eps_grid=eps_grid,
-        count_means=count_means,
-        conc_weight=conc["conc_weight"],
-        conc_value=conc["conc_value"],
-        record=record,
-    )
-    if kind in SINGLE_SIZE_KINDS and n_grid:
-        try:
-            graph_size(cfg)
+            check(cfg)
         except ConfigError as exc:
             problems.extend(exc.problems)
-    if kind == "concentration":
-        try:
-            concentration_laws(cfg)
-        except ConfigError as exc:  # a malformed law is already listed
-            problems.extend(p for p in exc.problems if p not in problems)
-    if kind == "stationary" and not problems:
-        try:
-            stationary_k_long(cfg)
-        except ConfigError as exc:
-            problems.extend(exc.problems)
-    for key in pairs:
-        problems.append(f"{key}: unknown key")
-    if problems:
-        raise ConfigError(problems)
-    return cfg

@@ -345,7 +345,6 @@ class NeighborhoodDiagnostic:
     vertex: int
     depth: int
     tree_depth: int              # deepest generation with no repeated vertex
-    generation_census: list      # per explored generation, K-vector of label counts
 
     def is_tree(self, s=None):
         s = self.depth if s is None else s
@@ -354,12 +353,11 @@ class NeighborhoodDiagnostic:
 
 def neighborhood_diagnostic(graph, vertex, depth, K=None, node_cap=2_000_000):
     """Unfold the inbound neighborhood of a vertex generation by
-    generation; the unfolding is a tree exactly while no vertex repeats."""
-    K = K if K is not None else graph.pi_hat.size
-    indptr, sources, labels = graph.indptr, graph.sources, graph.labels
+    generation; the unfolding is a tree exactly while no vertex repeats.
+    K is unused; perfbench/micro.py still passes it."""
+    indptr, sources = graph.indptr, graph.sources
     frontier = np.array([vertex], dtype=np.int64)
     seen = {int(vertex)}
-    census = [np.bincount(labels[frontier], minlength=K)]
     tree_depth = depth
     for g in range(1, depth + 1):
         parts = [sources[indptr[v] : indptr[v + 1]] for v in frontier]
@@ -373,10 +371,6 @@ def neighborhood_diagnostic(graph, vertex, depth, K=None, node_cap=2_000_000):
             break
         seen.update(int(v) for v in ordered)
         frontier = nxt
-        census.append(np.bincount(labels[frontier], minlength=K))
         if frontier.size == 0:
             break
-    return NeighborhoodDiagnostic(
-        vertex=int(vertex), depth=depth, tree_depth=tree_depth,
-        generation_census=census,
-    )
+    return NeighborhoodDiagnostic(vertex=int(vertex), depth=depth, tree_depth=tree_depth)

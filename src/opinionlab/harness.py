@@ -23,8 +23,7 @@ from . import __version__
 from . import rng as rngmod
 from .rng import substream
 from .config import (
-    DEFAULT_VERTEX_SETS, ConfigError, concentration_laws, graph_size, stationary_k_long,
-    theta_value,
+    ConfigError, concentration_laws, graph_size, stationary_k_long, theta_value,
 )
 from .graph import normalize_weights, sample_graph, sample_labels
 from .dynamics import simulate
@@ -178,10 +177,8 @@ def _run_error(cfg, out):
 def _run_chaos(cfg, out):
     n = graph_size(cfg)
     theta = theta_value(cfg.theta_rule, n)
-    vertex_sets = cfg.vertex_sets or DEFAULT_VERTEX_SETS
-    functions = cfg.functions or [["proj:0,%d" % cfg.k] * len(vs) for vs in vertex_sets]
     report = chaos_experiment(
-        cfg.model, n, theta, cfg.k, vertex_sets, functions, cfg.inner_reps, cfg.seed,
+        cfg.model, n, theta, cfg.k, cfg.vertex_sets, cfg.functions, cfg.inner_reps, cfg.seed,
         measure_functions=cfg.measure_functions, limit_reps=cfg.limit_reps,
         threads=cfg.threads,
     )
@@ -289,7 +286,7 @@ def _run_tree(cfg, out):
             pick = substream((cfg.seed, point_idx, g), rngmod.TREE)
             vertices = pick.choice(n, size=min(cfg.vertices_checked, n), replace=False)
             for v in vertices:
-                diag = neighborhood_diagnostic(graph, int(v), cfg.depth, K=spec.K)
+                diag = neighborhood_diagnostic(graph, int(v), cfg.depth)
                 checked += 1
                 non_tree += 0 if diag.is_tree() else 1
         diag_rows.append((n, theta, cfg.depth, checked,

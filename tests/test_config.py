@@ -1,11 +1,14 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from opinionlab.config import ConfigError, parse_config, stationary_k_long, theta_value
+from opinionlab.cli import main
+from opinionlab.config import KEYS, KINDS, ConfigError, parse_config, stationary_k_long, theta_value
 from opinionlab.distributions import Mixture, Point, Uniform, VectorDist
 from opinionlab.harness import config_hash
 from opinionlab.metrics import burn_in_steps
@@ -29,7 +32,6 @@ out = runs/demo
 n_grid = 400
 theta = pow:0.8
 inner_reps = 12
-outer_reps = 2
 threads = 2
 k = 3
 vertex_sets = 0 1 ; 2 3
@@ -69,7 +71,8 @@ def test_bad_shares_reported_with_key_path():
 
 
 def test_stationary_k_long_burn_in_boundary():
-    cfg = parse_config(MINIMAL + "model.d = 0.25\nburn_tol = 1e-4\n")
+    cfg = parse_config(MINIMAL.replace("kind = error", "kind = stationary")
+                       + "model.d = 0.25\nburn_tol = 1e-4\n")
     k_burn = burn_in_steps(0.25, 1e-4)
     assert stationary_k_long(cfg) == k_burn
     assert 0.75**k_burn < 1e-4 <= 0.75 ** (k_burn - 1)
@@ -209,3 +212,57 @@ def test_default_shares_are_valid(K):
     # shares written with full precision sum to 1 within the validation tolerance
     cfg = parse_config(f"model.K = {K}")
     assert cfg.model.pi.tolist() == pytest.approx([1.0 / K] * K)
+
+
+# one key each kind does not read, and the kinds that read it
+FOREIGN = {
+    "simulate": ("depth = 3", "depth", "tree"),
+    "meanfield": ("inner_reps = 5", "inner_reps",
+                  "simulate, error, chaos, stationary, concentration"),
+    "error": ("limit_reps = 5", "limit_reps", "chaos"),
+    "chaos": ("record = 1", "record", "simulate"),
+    "stationary": ("k = 3", "k", "chaos"),
+    "concentration": ("theta = const:5", "theta",
+                      "simulate, meanfield, error, chaos, stationary, tree"),
+    "tree": ("k_max = 4", "k_max", "simulate, error, stationary"),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_rejects_a_key_it_does_not_read(kind):
+    line, key, readers = FOREIGN[kind]
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"kind = {kind}\n{line}\n")
+    assert err.value.problems == [f"{key}: kind {kind} does not read this key; it is read by {readers}"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_key_table_matches_config_keys():
+    rows = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("| `"):
+            cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+            rows[cells[0].strip("`")] = cells
+    assert list(rows) == list(KEYS)
+    for name, (_, default, _, readers) in rows.items():
+        key = KEYS[name]
+        assert (KINDS if readers == "all" else tuple(re.findall(r"`(\w+)`", readers))) == key.kinds, name
+        if isinstance(key.default, str):
+            assert default == (f"`{key.default}`" if key.default else "empty"), name
+
+
+def test_readme_example_configs_validate(tmp_path, capsys):
+    lines = README.read_text(encoding="utf-8").splitlines()
+    starts = [i for i, line in enumerate(lines) if line.startswith("    kind = ")]
+    assert starts
+    for i in starts:
+        block = []
+        for line in lines[i:]:
+            if not line.startswith("    "):
+                break
+            block.append(line[4:])
+        path = tmp_path / f"example{i}.cfg"
+        path.write_text("\n".join(block) + "\n")
+        assert main(["validate", "--config", str(path)]) == 0, capsys.readouterr().err

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opinionlab.config import parse_config
+from opinionlab.config import KEYS, parse_config
 from opinionlab.harness import EXIT_CONFIG, EXIT_OK, run
 from opinionlab.cli import main
 
@@ -28,7 +28,11 @@ model.signals = uniform:-0.4,0.4 | uniform:-0.2,0.6
 
 
 def make_config(kind, extra=""):
-    return f"kind = {kind}\nseed = 5\nn_grid = 120\ntheta = const:10\ninner_reps = 3\n{extra}\n{BASE_MODEL}"
+    """A config of the given kind; of the base keys it holds those the kind reads."""
+    base = "".join(f"{key} = {val}\n" for key, val in (
+        ("seed", "5"), ("n_grid", "120"), ("theta", "const:10"), ("inner_reps", "3"),
+    ) if kind in KEYS[key].kinds)
+    return f"kind = {kind}\n{base}{extra}\n{BASE_MODEL}"
 
 
 def read_lines(path):
@@ -198,7 +202,8 @@ def test_cli_runs_experiment_with_overrides(tmp_path):
 
 def test_cli_command_selects_kind(tmp_path):
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(make_config("error"))  # command overrides the kind
+    # the command overrides the config's kind
+    cfg_path.write_text(make_config("meanfield").replace("kind = meanfield", "kind = error"))
     out = tmp_path / "mf"
     assert main(["meanfield", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
     assert (out / "model_report.json").exists()
@@ -395,7 +400,7 @@ def test_cli_negative_seed_flag_is_config_error(tmp_path, capsys, command):
 def test_cli_stationary_short_k_max_exits_before_any_graph(tmp_path, capsys, monkeypatch):
     # the config's own kind is error, so only the stationary command sees the short run
     cfg_path = tmp_path / "short.cfg"
-    cfg_path.write_text(make_config("error", "k_max = 2\nburn_tol = 1e-4"))
+    cfg_path.write_text(make_config("error", "k_max = 2"))
     assert main(["validate", "--config", str(cfg_path)]) == EXIT_OK
 
     def no_graph(*args, **kwargs):
@@ -416,7 +421,8 @@ def test_cli_stationary_short_k_max_exits_before_any_graph(tmp_path, capsys, mon
 def test_cli_single_size_command_rejects_extra_sizes(tmp_path, capsys, monkeypatch, command):
     # the config's own kind, error, runs every size; these commands run one
     cfg_path = tmp_path / "sizes.cfg"
-    cfg_path.write_text(make_config("error").replace("n_grid = 120", "n_grid = 100 200"))
+    cfg_path.write_text(make_config(command).replace(f"kind = {command}", "kind = error")
+                        .replace("n_grid = 120", "n_grid = 100 200"))
     assert main(["validate", "--config", str(cfg_path)]) == EXIT_OK
 
     def no_graph(*args, **kwargs):
@@ -450,11 +456,43 @@ def test_validate_h_below_default_conc_weight_is_ok(tmp_path, capsys):
     ("conc_value = uniform:-3,3", "conc_value"),
 ])
 def test_cli_concentration_command_checks_law_supports(tmp_path, capsys, extra, key):
-    # the config's own kind, error, never draws these laws; the concentration command does
+    # the config's own kind, error, does not read these laws; the concentration command does
     cfg_path = tmp_path / "conc.cfg"
-    cfg_path.write_text(make_config("error", extra))
-    assert main(["validate", "--config", str(cfg_path)]) == EXIT_OK
+    cfg_path.write_text(make_config("concentration", extra)
+                        .replace("kind = concentration", "kind = error"))
+    assert main(["validate", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert f"config error: {key}: kind error does not read" in capsys.readouterr().err
     out = tmp_path / "o"
     assert main(["concentration", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
     assert f"config error: {key}: support outside" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+def test_cli_validate_lists_every_key_the_kind_does_not_read(tmp_path, capsys):
+    cfg_path = tmp_path / "foreign.cfg"
+    cfg_path.write_text(make_config("error", "limit_reps = 5\ntree_reps = 7\nstationary_reps = 3\n"
+                                             "vertex_sets = 1 2"))
+    assert main(["validate", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    for key, readers in (("limit_reps", "chaos"), ("tree_reps", "tree"),
+                         ("stationary_reps", "stationary"), ("vertex_sets", "chaos")):
+        assert f"config error: {key}: kind error does not read this key; it is read by {readers}\n" in err
+
+
+def test_cli_tree_rejects_chaos_config_before_any_graph(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "chaos.cfg"
+    cfg_path.write_text(make_config("chaos", "vertex_sets = 0 1"))
+    assert main(["validate", "--config", str(cfg_path)]) == EXIT_OK
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was drawn")
+
+    import opinionlab.harness
+
+    monkeypatch.setattr(opinionlab.harness, "sample_labels", no_graph)
+    monkeypatch.setattr(opinionlab.harness, "sample_graph", no_graph)
+    out = tmp_path / "o"
+    assert main(["tree", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: vertex_sets: kind tree does not read this key; it is read by chaos" in (
+        capsys.readouterr().err)
+    assert not out.exists()
