@@ -9,9 +9,9 @@ it for the command's kind.  --seed and --out replace the config's keys
 of those names; the thread count comes from --threads, else
 OPINIONLAB_THREADS, else the config.  Exit codes: 0 success, 2 config
 error (a value outside the bound that README's key table gives it, a
-key the kind does not read, or a thread count that is not a positive
-integer), 3 runtime/budget error (also a run that cannot allocate its
-arrays).
+key the kind does not read, a key value or default that cannot be
+allocated, or a thread count that is not a positive integer), 3
+runtime/budget error (also a run that cannot allocate its arrays).
 """
 
 import argparse

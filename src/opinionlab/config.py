@@ -8,8 +8,9 @@ separate entries with ``|``.  A JSON document (detected by a leading
 input.
 
 Every key is declared once, in ``KEYS``: its default, its parser and
-bound, and the experiment kinds that read it.  A key that the kind
-being run does not read is an error.
+bound, the experiment kinds that read it and the keys that size it.  A
+key that the kind being run does not read is an error.  A key sized by
+an invalid key holds its default, so only the root key is reported.
 
 Example::
 
@@ -313,19 +314,25 @@ class Key:
     config omits it, or a function of the values parsed before it that
     returns that text.  ``parse`` turns text into the value and holds
     the bound; ``kinds`` are the experiment kinds that read the key;
-    ``field`` is the ExperimentConfig or ModelSpec field it fills."""
+    ``field`` is the ExperimentConfig or ModelSpec field it fills;
+    ``reads`` are the keys that size its default or its bound."""
 
     name: str
     default: object
     parse: object
     kinds: tuple = KINDS
     field: str = ""
+    reads: tuple = ()
 
     def __post_init__(self):
         self.field = self.field or self.name.removeprefix("model.")
 
+    def default_text(self, values):
+        return self.default(values) if callable(self.default) else self.default
+
 
 _GRAPH_KINDS = tuple(kind for kind in KINDS if kind != "concentration")
+_SIZES = ("model.K", "model.ell")
 
 # in parse order: a parser and a default may read the values of the keys above them
 KEYS = {key.name: key for key in (
@@ -336,17 +343,18 @@ KEYS = {key.name: key for key in (
     Key("model.K", "1", _integer(1)),
     Key("model.ell", "1", _integer(1)),
     Key("model.pi", lambda v: " ".join([repr(1.0 / v["model.K"])] * v["model.K"]),
-        _tokens(_real())),
+        _tokens(_real()), reads=("model.K",)),
     Key("model.kappa", lambda v: ";".join([" ".join(["1"] * v["model.K"])] * v["model.K"]),
-        _matrix),
+        _matrix, reads=("model.K",)),
     Key("model.c", "0.3", _real()),
     Key("model.d", "0.2", _real()),
     Key("model.H", "1", _real()),
     Key("model.signal_belief_weight", "0", _real()),
-    Key("model.weights", "uniform:0,1", _weight_laws, field="weight_dists"),
-    Key("model.beliefs", "uniform:-1,1", _vector_laws, field="belief_dists"),
-    Key("model.signals", "uniform:-1,1", _vector_laws, field="signal_dists"),
-    Key("model.init", "uniform:-1,1", _initial_laws, field="init_dists"),
+    Key("model.weights", "uniform:0,1", _weight_laws, field="weight_dists",
+        reads=("model.K", "model.H")),
+    Key("model.beliefs", "uniform:-1,1", _vector_laws, field="belief_dists", reads=_SIZES),
+    Key("model.signals", "uniform:-1,1", _vector_laws, field="signal_dists", reads=_SIZES),
+    Key("model.init", "uniform:-1,1", _initial_laws, field="init_dists", reads=_SIZES),
     Key("model.fixed_composition", "false", _boolean),
     Key("n_grid", "1000", _sizes, _GRAPH_KINDS),
     Key("theta", "log:1", _text, _GRAPH_KINDS, field="theta_rule"),
@@ -361,8 +369,8 @@ KEYS = {key.name: key for key in (
     Key("vertex_sets", "0", _rows(_tokens(_integer(0))), ("chaos",)),
     Key("functions",
         lambda v: ";".join(" ".join([f"proj:0,{v['k']}"] * len(vs)) for vs in v["vertex_sets"]),
-        _rows(_function_ids), ("chaos",)),
-    Key("measure_functions", "", _function_ids, ("chaos",)),
+        _rows(_function_ids), ("chaos",), reads=("model.ell", "k", "vertex_sets")),
+    Key("measure_functions", "", _function_ids, ("chaos",), reads=("model.ell", "k")),
     Key("limit_reps", "4000", _integer(1), ("chaos",)),
     Key("depth", "2", _integer(1), ("tree",)),
     Key("tree_reps", "10000", _integer(1), ("tree",)),
@@ -383,19 +391,29 @@ def parse_config(text, **overrides):
     pairs, problems = _read_pairs(text)
     pairs.update(overrides)
     kind = pairs.get("kind", KEYS["kind"].default)
-    values = {}
+    values, failed = {}, set()
     for name, key in KEYS.items():
         given = pairs.pop(name, None)
         if given is not None and kind in KINDS and kind not in key.kinds:
             problems.append(f"{name}: kind {kind} does not read this key; "
                             f"it is read by {', '.join(key.kinds)}")
             given = None
-        default = key.default(values) if callable(key.default) else key.default
+        if not failed.isdisjoint(key.reads):
+            # sized by a value that failed: hold the default, so only the root key is reported
+            failed.add(name)
+            given = None
         try:
-            values[name] = key.parse(default if given is None else given, values)
-        except ValueError as exc:
-            problems.append(f"{name}: {exc}")
-            values[name] = key.parse(default, values)
+            try:
+                values[name] = key.parse(key.default_text(values) if given is None else given,
+                                         values)
+            except ValueError as exc:
+                problems.append(f"{name}: {exc}")
+                failed.add(name)
+                values[name] = key.parse(key.default_text(values), values)
+        except MemoryError:  # a default or value sized by a huge key, as K x K model.kappa
+            at = ", ".join(f"{read} = {values[read]}" for read in key.reads)
+            problems.append(f"{name}: does not fit in memory" + (at and f" at {at}"))
+            raise ConfigError(problems) from None
     problems.extend(f"{name}: unknown key" for name in pairs)
 
     def filled(model_keys):

@@ -182,30 +182,25 @@ def _run_chaos(cfg, out):
         measure_functions=cfg.measure_functions, limit_reps=cfg.limit_reps,
         threads=cfg.threads,
     )
-    rows = []
-    for row in report.product_rows:
-        verts = row["vertices"]
-        verts = verts if isinstance(verts, str) else " ".join(map(str, verts))
-        rows.append(
-            (n, cfg.k, "product", verts,
-             " ".join(map(str, row["communities"])), " ".join(row["functions"]),
-             row["graph_estimate"], row["graph_se"], row["limit_estimate"],
-             row["limit_se"], row["gap"])
-        )
-    for row in report.measure_rows:
-        rows.append(
-            (n, cfg.k, "measure", "", str(row["community"]), row["function"],
-             row["graph_estimate"], row["graph_se"], row["limit_estimate"],
-             row["limit_se"], row["gap"])
-        )
+    rows = [
+        (n, cfg.k, row["statistic"], _joined(row["vertices"]), _joined(row["communities"]),
+         _joined(row["functions"]), row["graph_estimate"], row["graph_se"],
+         row["limit_estimate"], row["limit_se"], row["gap"])
+        for row in report.rows
+    ]
     write_csv(
         out / "chaos.csv",
         ["n", "k", "statistic", "vertices", "communities", "functions",
          "graph_estimate", "graph_stderr", "limit_estimate", "limit_stderr", "gap"],
         rows,
     )
-    return {"n": n, "theta": theta, "product_rows": report.product_rows,
-            "measure_rows": report.measure_rows}, ["chaos.csv"]
+    return {"n": n, "theta": theta, "rows": report.rows}, ["chaos.csv"]
+
+
+def _joined(values):
+    """A row's vertex, community or function list as one space-separated
+    field; a text value (the vertices of a pooled row) as it is."""
+    return values if isinstance(values, str) else " ".join(map(str, values))
 
 
 def _run_stationary(cfg, out):
@@ -218,8 +213,8 @@ def _run_stationary(cfg, out):
     )
     rows = [
         (n, theta, row["community"], row["topic"], row["moment"],
-         row["graph_estimate"], row["graph_se"], row["stationary_estimate"],
-         row["stationary_se"], row["gap"], row["combined_se"])
+         row["graph_estimate"], row["graph_se"], row["limit_estimate"],
+         row["limit_se"], row["gap"], row["combined_se"])
         for row in report.rows
     ]
     write_csv(

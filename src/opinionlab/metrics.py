@@ -6,6 +6,13 @@ label-conditional expectations, then mean_se over the stacked replica
 results.  The error kind's outer loop over label draws probes the
 remaining convergence-in-probability layer.
 
+The chaos and stationarity experiments compare a graph estimate with a
+limit estimate, and _compare_row builds every such row: product
+moments of vertex sets and pooled pairs, community empirical-measure
+functionals (single-factor rows scaled by the community's share), and
+stationary moments.  Each row holds graph_estimate, graph_se,
+limit_estimate, limit_se (first order), gap and combined_se.
+
 Coupling is always on: the graph run and its explicit approximation
 consume the identical per-vertex signal frames and initial opinions.
 """
@@ -265,21 +272,23 @@ def limit_trajectory_draws(spec, model, profile, community, k, reps, rng):
     return np.stack([R0] + steps, axis=2)
 
 
-def _product_row(vertices, communities, funcs, graph_samples, limit_draws):
-    """Graph estimate of a product moment against the product of the limit
-    factor means, its standard error propagated to first order."""
+def _compare_row(graph_samples, limit_factors, limit_scale=1.0):
+    """One graph-versus-limit row: the graph estimate of a moment against
+    limit_scale times the product of the limit factor means.  The limit
+    stderr is first order: each factor's stderr times the product of the
+    other factors' means, added in quadrature, times limit_scale."""
     graph_est, graph_se = map(float, mean_se(graph_samples))
-    means, ses = zip(*(mean_se(f(limit_draws[r])) for r, f in zip(communities, funcs)))
-    limit_prod = float(np.prod(means))
+    means, ses = zip(*(mean_se(samples) for samples in limit_factors))
     var = 0.0
     for j, s_j in enumerate(ses):
         partial = np.prod([m for jj, m in enumerate(means) if jj != j])
         var += (partial * s_j) ** 2
-    return {"vertices": vertices, "communities": communities,
-            "functions": tuple(f.fid for f in funcs),
-            "graph_estimate": graph_est, "graph_se": graph_se,
-            "limit_estimate": limit_prod, "limit_se": float(math.sqrt(var)),
-            "gap": abs(graph_est - limit_prod)}
+    limit_est = float(limit_scale * np.prod(means))
+    limit_se = float(limit_scale * math.sqrt(var))
+    return {"graph_estimate": graph_est, "graph_se": graph_se,
+            "limit_estimate": limit_est, "limit_se": limit_se,
+            "gap": abs(graph_est - limit_est),
+            "combined_se": math.sqrt(graph_se**2 + limit_se**2)}
 
 
 @dataclass
@@ -288,8 +297,7 @@ class ChaosReport:
     theta: float
     k: int
     reps: int
-    product_rows: list   # dicts per vertex set
-    measure_rows: list   # dicts per (function, community)
+    rows: list   # dicts: product rows per vertex set and pooled pair, then measure rows
 
 
 def chaos_experiment(spec, n, theta, k, vertex_sets, set_functions, inner, seed,
@@ -298,14 +306,17 @@ def chaos_experiment(spec, n, theta, k, vertex_sets, set_functions, inner, seed,
     """Estimate both sides of the trajectory factorization for vertex
     sets, and the per-community empirical-measure functionals.
 
-    A product row holds equal-length vertex columns, one per factor, and
-    its sample is the mean over rows of the product of the factors.  A
-    fixed vertex set is a pool of one row.  pooled_pairs lists community
-    pairs (r1, r2); each pools disjoint fixed (community-r1,
-    community-r2) vertex pairs.  Vertices sharing a label are
-    exchangeable given the labels, so every such pair has the same joint
-    moment and the pooled average estimates the identical quantity with
-    far less Monte Carlo noise.
+    Every row is a pool: equal-length vertex columns, one per factor,
+    whose sample is the mean over the pool's rows of the product of the
+    factors.  A fixed vertex set is a pool of one row.  pooled_pairs
+    lists community pairs (r1, r2); each pools disjoint fixed
+    (community-r1, community-r2) vertex pairs.  Vertices sharing a label
+    are exchangeable given the labels, so every such pair has the same
+    joint moment and the pooled average estimates the identical quantity
+    with far less Monte Carlo noise.  A measure function gives one
+    single-factor row per community r, pooled over all of r's vertices:
+    its graph sample is scaled by r's empirical share (0.0 when r has no
+    vertices) and its limit by pi[r].
     """
     labels, _, model, profile = label_point(spec, n, theta, (seed, 0), max(k, 1))
     if len(vertex_sets) != len(set_functions) or any(
@@ -315,18 +326,27 @@ def chaos_experiment(spec, n, theta, k, vertex_sets, set_functions, inner, seed,
     def funcs(fids):
         return [parse_function(fid, spec.ell, k) for fid in fids]
 
-    # (vertices, communities, columns, functions) per product row
-    products = [(tuple(int(v) for v in vs), tuple(int(labels[v]) for v in vs),
-                 [np.array([v], dtype=np.int64) for v in vs], funcs(fids))
-                for vs, fids in zip(vertex_sets, set_functions)]
+    pools = []  # (row fields, vertex columns, functions, graph scale, limit scale)
+
+    def pool(statistic, vertices, comms, cols, fs, graph_scale=1.0, limit_scale=1.0):
+        fields = {"statistic": statistic, "vertices": vertices, "communities": comms,
+                  "functions": tuple(f.fid for f in fs)}
+        pools.append((fields, cols, fs, graph_scale, limit_scale))
+
+    for vs, fids in zip(vertex_sets, set_functions):
+        pool("product", tuple(int(v) for v in vs), tuple(int(labels[v]) for v in vs),
+             [np.array([v], dtype=np.int64) for v in vs], funcs(fids))
     for (r1, r2), fids in zip(pooled_pairs, pooled_functions):
         left = np.flatnonzero(labels == r1)
         right = np.flatnonzero(labels == r2)
         m = min(left.size, right.size)
         if m == 0:
             raise ValueError(f"no vertices available for community pair ({r1}, {r2})")
-        products.append(("pooled", (int(r1), int(r2)), [left[:m], right[:m]], funcs(fids)))
-    measure_funcs = funcs(measure_functions)
+        pool("product", "pooled", (int(r1), int(r2)), [left[:m], right[:m]], funcs(fids))
+    members = [np.flatnonzero(labels == r) for r in range(spec.K)]
+    for f in funcs(measure_functions):
+        for r in range(spec.K):
+            pool("measure", (), (r,), [members[r]], [f], members[r].size / n, spec.pi[r])
 
     def unit(i):
         traj = np.empty((n, spec.ell, k + 1))
@@ -335,48 +355,21 @@ def chaos_experiment(spec, n, theta, k, vertex_sets, set_functions, inner, seed,
             traj[:, :, state.k] = state.R
 
         run_graph(spec, labels, theta, k, (seed, 0, i), observe)
-        prods = [float(np.mean(reduce(np.multiply, [f(traj[col]) for col, f in zip(cols, fs)])))
-                 for _, _, cols, fs in products]
-        measures = [
-            [float(f(traj[labels == r]).mean() * (labels == r).mean()) if (labels == r).any() else 0.0
-             for r in range(spec.K)]
-            for f in measure_funcs
-        ]
-        return prods, measures
+        return [float(np.mean(reduce(np.multiply, [f(traj[col]) for col, f in zip(cols, fs)])))
+                * scale if cols[0].size else 0.0  # 0.0: a community without vertices
+                for _, cols, fs, scale, _ in pools]
 
-    results = parallel_map(unit, range(inner), threads=threads)
-    prod_samples = np.array([res[0] for res in results])          # (inner, n_rows)
-    measure_samples = np.array([res[1] for res in results])       # (inner, n_f, K)
+    samples = np.array(parallel_map(unit, range(inner), threads=threads))  # (inner, rows)
 
     # limit side per community
     limit_rng = substream(seed, rngmod.STATIONARY, 1)
     limit_draws = [limit_trajectory_draws(spec, model, profile, r, k, limit_reps, limit_rng)
                    for r in range(spec.K)]
-
-    product_rows = [_product_row(vertices, comms, fs, prod_samples[:, idx], limit_draws)
-                    for idx, (vertices, comms, _, fs) in enumerate(products)]
-
-    measure_rows = []
-    for fi, f in enumerate(measure_funcs):
-        for r in range(spec.K):
-            limit_mean, limit_se = mean_se(f(limit_draws[r]))
-            limit_est = float(spec.pi[r] * limit_mean)
-            graph_est, graph_se = map(float, mean_se(measure_samples[:, fi, r]))
-            measure_rows.append(
-                {
-                    "function": f.fid,
-                    "community": r,
-                    "graph_estimate": graph_est,
-                    "graph_se": graph_se,
-                    "limit_estimate": limit_est,
-                    "limit_se": float(spec.pi[r] * limit_se),
-                    "gap": abs(graph_est - limit_est),
-                }
-            )
-    return ChaosReport(
-        n=n, theta=float(theta), k=k, reps=inner,
-        product_rows=product_rows, measure_rows=measure_rows,
-    )
+    rows = [{**fields, **_compare_row(
+                samples[:, idx], [f(limit_draws[r]) for r, f in zip(fields["communities"], fs)],
+                limit_scale)}
+            for idx, (fields, _, fs, _, limit_scale) in enumerate(pools)]
+    return ChaosReport(n=n, theta=float(theta), k=k, reps=inner, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +399,8 @@ def stationarity_experiment(spec, n, theta, k_long, inner, tol, seed,
     labels, _, model, _ = label_point(spec, n, theta, (seed, 0))
 
     def unit(i):
-        state = run_graph(spec, labels, theta, k_long, (seed, 0, i), lambda state, frame: None)
-        first = np.empty((spec.K, spec.ell))
-        second = np.empty((spec.K, spec.ell))
-        for r in range(spec.K):
-            mask = labels == r
-            first[r] = state.R[mask].mean(axis=0)
-            second[r] = (state.R[mask] ** 2).mean(axis=0)
-        return first, second
+        R = run_graph(spec, labels, theta, k_long, (seed, 0, i), lambda state, frame: None).R
+        return [[(R[labels == r] ** p).mean(axis=0) for r in range(spec.K)] for p in (1, 2)]
 
     moments = np.array(parallel_map(unit, range(inner), threads=threads))  # (inner, 2, K, ell)
 
@@ -423,22 +410,9 @@ def stationarity_experiment(spec, n, theta, k_long, inner, tol, seed,
     for r in range(spec.K):
         draws = sampler.sample(r, stat_rng, size=stationary_reps)
         for m, (moment, stat_vals) in enumerate((("mean", draws), ("second", draws**2))):
-            for topic in range(spec.ell):
-                graph_est, graph_se = map(float, mean_se(moments[:, m, r, topic]))
-                stat_est, stat_se = map(float, mean_se(stat_vals[:, topic]))
-                rows.append(
-                    {
-                        "community": r,
-                        "topic": topic,
-                        "moment": moment,
-                        "graph_estimate": graph_est,
-                        "graph_se": graph_se,
-                        "stationary_estimate": stat_est,
-                        "stationary_se": stat_se,
-                        "gap": abs(graph_est - stat_est),
-                        "combined_se": math.sqrt(graph_se**2 + stat_se**2),
-                    }
-                )
+            rows.extend({"community": r, "topic": topic, "moment": moment,
+                         **_compare_row(moments[:, m, r, topic], [stat_vals[:, topic]])}
+                        for topic in range(spec.ell))
     return StationarityReport(
         n=n, theta=float(theta), k_long=k_long, reps=inner,
         horizon=sampler.horizon, rows=rows,

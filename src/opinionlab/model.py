@@ -113,7 +113,10 @@ class ModelSpec:
                 for s in range(self.K):
                     if not supported_in(self.weight_dists[r][s], 0.0, self.H):
                         problems.append(f"weight_dists[{r}][{s}]: support outside [0, {self.H}]")
-        for name, dists in (("belief_dists", self.belief_dists), ("signal_dists", self.signal_dists)):
+        vector_laws = [("belief_dists", self.belief_dists), ("signal_dists", self.signal_dists)]
+        if self.init_dists != "beliefs":
+            vector_laws.append(("init_dists", self.init_dists))
+        for name, dists in vector_laws:
             if len(dists) != self.K:
                 problems.append(f"{name}: expected {self.K} entries")
                 continue
@@ -122,15 +125,6 @@ class ModelSpec:
                     problems.append(f"{name}[{r}]: expected {self.ell} components")
                 elif not supported_in(dist, -1.0, 1.0):
                     problems.append(f"{name}[{r}]: support outside [-1, 1]")
-        if self.init_dists != "beliefs":
-            if len(self.init_dists) != self.K:
-                problems.append(f"init_dists: expected {self.K} entries")
-            else:
-                for r, dist in enumerate(self.init_dists):
-                    if len(dist) != self.ell:
-                        problems.append(f"init_dists[{r}]: expected {self.ell} components")
-                    elif not supported_in(dist, -1.0, 1.0):
-                        problems.append(f"init_dists[{r}]: support outside [-1, 1]")
         return problems
 
     # ---- closed-form moments used by the mean-field construction ----

@@ -251,7 +251,7 @@ def criterion_7(seed=31, threads=1, n_grid=None):
             pooled_functions=[[fid, fid]],
         )
         rows = {r["vertices"] if isinstance(r["vertices"], str) else "fixed": r
-                for r in rep.product_rows}
+                for r in rep.rows}
         for tag in ("fixed", "pooled"):
             r = rows[tag]
             band = r["graph_se"] + r["limit_se"]

@@ -104,6 +104,22 @@ model.d = 0
         assert frag in text_problems
 
 
+@pytest.mark.parametrize("lines, problem", [
+    ("model.K = two\nmodel.pi = 0.5 0.5\nmodel.kappa = 1 2 ; 2 1\nmodel.weights = point:1",
+     "model.K: not an integer: 'two'"),
+    ("model.ell = x\nmodel.beliefs = uniform:-1,1 point:0.2\nmodel.init = point:0 point:0\n"
+     "functions = proj:1,2\nmeasure_functions = proj:1,2", "model.ell: not an integer: 'x'"),
+    ("model.H = abc\nmodel.weights = uniform:0,2", "model.H: not a number: 'abc'"),
+    ("k = x\nfunctions = proj:0,3\nmeasure_functions = proj:0,3", "k: not an integer: 'x'"),
+    ("vertex_sets = 0 x\nfunctions = proj:0,1 proj:0,1", "vertex_sets: not an integer: 'x'"),
+], ids=["K", "ell", "H", "k", "vertex_sets"])
+def test_bad_sizing_key_reports_only_itself(lines, problem):
+    # the keys it sizes hold their defaults; inner_reps = 0, an unrelated problem, is still reported
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"kind = chaos\nn_grid = 100\ninner_reps = 0\n{lines}\n")
+    assert sorted(err.value.problems) == sorted([problem, "inner_reps: must be >= 1, got 0"])
+
+
 @pytest.mark.parametrize("flag, fixed", [
     ("true", True), ("YES", True), ("1", True), ("False", False), ("no", False), ("0", False),
 ])

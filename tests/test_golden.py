@@ -9,6 +9,7 @@ output bytes updates these constants and says why in CHANGES.md.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,7 +55,7 @@ CONFIGS = {
 DIGESTS = {
     "chaos": {
         "chaos.csv": "a9b15fdb225e4e27feddc37aec041d3d9fcaa41965a89ae07d5b1ad4cfce4af3",
-        "summary.json": "42dd499ffd4472c9be9d8065cf625c7a071094add23d09ce49982d23afd6fdfb",
+        "summary.json": "e905622e79d3d7b935c7d4c84a42055b6f6aa55ead465561d51f1937da796e5b",
     },
     "concentration": {
         "concentration.csv": "a1174adcb73eac7aaae02d082baabe166d4f64c92b508542a33468503b44622c",
@@ -74,7 +75,7 @@ DIGESTS = {
     },
     "stationary": {
         "stationarity.csv": "f241fad3758f7a410428a8d9a1901cca0593fe89afbe74783c193d38a41ecc5c",
-        "summary.json": "756139b280578ed942938848744bb057ce238c9fffd25e7df9fa652894db6c90",
+        "summary.json": "78ad33dacd428ef8d444e39f8bbad2b88463bb685557ba54bcf3cfcfc95db4d6",
     },
     "tree": {
         "summary.json": "1de4fe1dfa53209f95fa16a716bd08297dc354b8820d7a581f77329982d3d955",
@@ -101,13 +102,30 @@ def test_golden_digests(kind, tmp_path):
         assert output_digests(out) == DIGESTS[kind], f"{kind} at threads={threads}"
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_csv_headers_match_written_headers(tmp_path):
+    # README's Outputs section gives each CSV as `name.csv`: `header`; a header may wrap
+    outputs = README.read_text(encoding="utf-8").split("### Outputs", 1)[1].split("\n## ", 1)[0]
+    documented = {name: re.sub(r"\s+", "", header)
+                  for name, header in re.findall(r"`(\w+\.csv)`:?\s*`([^`]+)`", outputs)}
+    written = {}
+    for kind in sorted(CONFIGS):
+        out = tmp_path / kind
+        run(parse_config(f"kind = {kind}\nseed = 17\n{CONFIGS[kind]}\n{MODEL}"), out)
+        for path in sorted(out.glob("*.csv")):
+            written[path.name] = path.read_text(encoding="utf-8").split("\n", 1)[0]
+    assert documented == written
+
+
 HIGH_DEGREE_CONFIG = (
     "n_grid = 60\ntheta = const:30\ninner_reps = 3\nburn_tol = 1e-3\nstationary_reps = 400"
 )
 
 HIGH_DEGREE_DIGESTS = {
     "stationarity.csv": "b1af40bc6c8cc1b06333a1682edbe17532365b9a6039153273e5ed220dd71ed0",
-    "summary.json": "5107e11f574bdc63c285ecfc9f6365ecb4ecbb49516139b779ae96353b5d6298",
+    "summary.json": "08417aa00ae39842d4d3b4a32973d9df3cb9853659db0dc4e8a204c4097aaf12",
 }
 
 

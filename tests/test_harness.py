@@ -275,6 +275,23 @@ def test_cli_allocation_failure_is_runtime_error(tmp_path):
     assert any(line.startswith("runtime error:") for line in proc.stderr.splitlines())
 
 
+def test_cli_validate_default_out_of_memory_is_config_error(tmp_path):
+    # model.K = 1e5 without model.kappa: the all-ones K x K default is 2e10 characters of text;
+    # the address-space limit makes that allocation fail whatever the overcommit policy
+    cfg_path = tmp_path / "wide.cfg"
+    cfg_path.write_text("kind = meanfield\nn_grid = 100\nmodel.K = 100000\n")
+    limit = 3 * 2**30
+    proc = subprocess.run(
+        [sys.executable, "-m", "opinionlab.cli", "validate", "--config", str(cfg_path)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "config error: model.kappa: does not fit in memory at model.K = 100000"]
+
+
 def _run_cli(tmp_path, name, extra_cfg="", flags=()):
     cfg_path = tmp_path / f"{name}.cfg"
     cfg_path.write_text(make_config("error", "k_max = 2\n" + extra_cfg)

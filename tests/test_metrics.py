@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,9 +7,10 @@ import pytest
 
 import opinionlab as ol
 from opinionlab.distributions import Point, Uniform, VectorDist
+from opinionlab import rng as rngmod
 from opinionlab.metrics import (
-    ConcentrationCase, burn_in_steps, coupled_gap_run, mean_se, parse_function,
-    ratio_deviation_bound, sum_deviation_bound,
+    ConcentrationCase, burn_in_steps, coupled_gap_run, label_point, limit_trajectory_draws,
+    mean_se, parse_function, ratio_deviation_bound, sum_deviation_bound,
 )
 from opinionlab.meanfield import build_meanfield_model, deterministic_profile
 from opinionlab.model import ModelSpec
@@ -195,7 +197,7 @@ def test_chaos_single_vertex_gap_is_noise():
     report = ol.chaos_experiment(
         spec, 300, 60.0, 2, [[0]], [["proj:0,2"]], 60, 17, limit_reps=2000
     )
-    row = report.product_rows[0]
+    row = report.rows[0]
     # m = 1: factorization is an identity, the gap is Monte Carlo noise
     assert row["gap"] <= 4 * (row["graph_se"] + row["limit_se"]) + 0.01
 
@@ -208,10 +210,11 @@ def test_chaos_constant_function_recovers_shares():
     )
     labels = ol.sample_labels(spec, 200, (19, 0))
     shares = np.bincount(labels, minlength=2) / 200
-    for row in report.measure_rows:
-        assert row["graph_estimate"] == pytest.approx(shares[row["community"]])
+    for row in (r for r in report.rows if r["statistic"] == "measure"):
+        (community,) = row["communities"]
+        assert row["graph_estimate"] == pytest.approx(shares[community])
         assert row["graph_se"] == pytest.approx(0.0, abs=1e-15)
-        assert row["limit_estimate"] == pytest.approx(spec.pi[row["community"]])
+        assert row["limit_estimate"] == pytest.approx(spec.pi[community])
 
 
 def test_chaos_single_limit_draw_has_zero_stderr():
@@ -222,8 +225,8 @@ def test_chaos_single_limit_draw_has_zero_stderr():
             chaos_spec(), 100, 20.0, 1, [[0]], [["proj:0,1"]], 3, 29,
             measure_functions=["proj:0,1"], limit_reps=1,
         )
-    assert [row["limit_se"] for row in report.measure_rows] == [0.0, 0.0]
-    assert report.product_rows[0]["limit_se"] == 0.0
+    assert [row["limit_se"] for row in report.rows if row["statistic"] == "measure"] == [0.0, 0.0]
+    assert report.rows[0]["limit_se"] == 0.0
 
 
 def test_chaos_fixed_set_is_a_pool_of_one_row():
@@ -238,7 +241,7 @@ def test_chaos_fixed_set_is_a_pool_of_one_row():
             spec, 2, 1.0, 2, [pair], [["proj:0,2", "proj:0,1"]], 6, 37, limit_reps=50,
             pooled_pairs=[(0, 1)], pooled_functions=[["proj:0,2", "proj:0,1"]],
         )
-    fixed, pooled = report.product_rows
+    fixed, pooled = report.rows
     assert fixed["vertices"] == tuple(pair) and pooled["vertices"] == "pooled"
     assert fixed["communities"] == pooled["communities"] == (0, 1)
     assert {k: v for k, v in fixed.items() if k != "vertices"} == \
@@ -256,8 +259,50 @@ def test_chaos_factorization_gap_shrinks_with_n():
             spec, n, float(n) ** 0.8, 2, [[i1, i2]], [["proj:0,2", "proj:0,2"]],
             400, 23, limit_reps=2000,
         )
-        gaps[n] = report.product_rows[0]
+        gaps[n] = report.rows[0]
     assert gaps[640]["gap"] < gaps[80]["gap"]
+
+
+def test_chaos_measure_row_of_an_empty_community():
+    # n = 2 with fixed composition and pi = (0.9, 0.1): community 1 gets no vertices
+    spec = dataclasses.replace(chaos_spec(), pi=np.array([0.9, 0.1]))
+    assert np.bincount(ol.sample_labels(spec, 2, (41, 0)), minlength=2).tolist() == [2, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = ol.chaos_experiment(spec, 2, 1.0, 1, [[0]], [["proj:0,1"]], 4, 41,
+                                     measure_functions=["proj:0,1"], limit_reps=50)
+    row = report.rows[-1]
+    assert row["statistic"] == "measure" and row["communities"] == (1,)
+    assert row["graph_estimate"] == row["graph_se"] == 0.0
+    # the limit side as chaos_experiment draws it: every community, in order
+    _, _, model, profile = label_point(spec, 2, 1.0, (41, 0), 1)
+    limit_rng = rngmod.substream(41, rngmod.STATIONARY, 1)
+    draws = [limit_trajectory_draws(spec, model, profile, r, 1, 50, limit_rng) for r in (0, 1)]
+    limit_mean, limit_se = mean_se(draws[1][:, 0, 1])
+    assert row["limit_estimate"] == spec.pi[1] * limit_mean
+    assert row["limit_se"] == spec.pi[1] * limit_se
+    assert row["gap"] == abs(row["limit_estimate"])
+
+
+ESTIMATOR_KEYS = {"graph_estimate", "graph_se", "limit_estimate", "limit_se", "gap", "combined_se"}
+
+
+def test_every_comparison_row_has_the_estimator_keys():
+    chaos = ol.chaos_experiment(
+        chaos_spec(), 60, 12.0, 2, [[0, 1]], [["proj:0,2", "prod:0,1,0,2"]], 3, 43,
+        measure_functions=["proj:0,2", "one"], limit_reps=20,
+        pooled_pairs=[(0, 1)], pooled_functions=[["proj:0,1", "proj:0,1"]],
+    )
+    spec = random_spec(6)
+    stationary = ol.stationarity_experiment(spec, 50, 5.0, burn_in_steps(spec.d, 1e-3), 2,
+                                            1e-3, 1, stationary_reps=30)
+    assert [row["statistic"] for row in chaos.rows] == ["product"] * 2 + ["measure"] * 4
+    for rows, fields in ((chaos.rows, {"statistic", "vertices", "communities", "functions"}),
+                         (stationary.rows, {"community", "topic", "moment"})):
+        for row in rows:
+            assert set(row) == ESTIMATOR_KEYS | fields
+            assert row["gap"] == abs(row["graph_estimate"] - row["limit_estimate"])
+            assert row["combined_se"] == math.sqrt(row["graph_se"]**2 + row["limit_se"]**2)
 
 
 def test_stationarity_requires_burned_in_horizon():
@@ -280,7 +325,7 @@ def test_stationarity_deterministic_signals_match_exactly():
     )
     mean_row = next(r for r in report.rows if r["moment"] == "mean")
     assert mean_row["gap"] < 1e-3
-    assert mean_row["stationary_estimate"] == pytest.approx(z, abs=1e-4)
+    assert mean_row["limit_estimate"] == pytest.approx(z, abs=1e-4)
 
 
 def test_stationarity_bot_community_geometric_series():
@@ -297,7 +342,7 @@ def test_stationarity_bot_community_geometric_series():
     w = spec.d * z + spec.c * q
     expected = w / (spec.c + spec.d)  # sum over t of (1-c-d)^t * w
     mean_row = next(r for r in report.rows if r["moment"] == "mean")
-    assert mean_row["stationary_estimate"] == pytest.approx(expected, abs=1e-4)
+    assert mean_row["limit_estimate"] == pytest.approx(expected, abs=1e-4)
     assert mean_row["gap"] < 1e-3
 
 
