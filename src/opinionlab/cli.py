@@ -64,10 +64,6 @@ def main(argv=None):
         return EXIT_CONFIG
     try:
         summary = run(cfg)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
     except (TreeBudgetError, RuntimeError, OSError, ValueError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

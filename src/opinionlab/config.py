@@ -7,10 +7,13 @@ separate entries with ``|``.  A JSON document (detected by a leading
 ``{``) with the same keys, possibly nested, is accepted as alternative
 input.
 
-Every key is declared once, in ``KEYS``: its default, its parser and
-bound, the experiment kinds that read it and the keys that size it.  A
-key that the kind being run does not read is an error.  A key sized by
-an invalid key holds its default, so only the root key is reported.
+Every key is declared once, in ``KEYS``: its default, its parser, the
+experiment kinds that read it and the keys its default or parser reads.
+The parser holds every bound on the key, also the bounds that read other
+keys (c + d <= 1 is ``model.d``'s, vertex ids below n are ``record``'s
+and ``vertex_sets``'s), and no check runs after the keys are parsed.  A
+key that the kind being run does not read is an error.  A key that reads
+an invalid key is skipped, so only the root key is reported.
 
 Example::
 
@@ -62,24 +65,24 @@ def theta_value(rule, n):
     """Evaluate a density rule string at graph size n."""
     kind, _, arg = rule.partition(":")
     if kind not in THETA_RULES:
-        raise ConfigError(f"theta: unknown rule {rule!r}")
+        raise ConfigError(f"unknown rule {rule!r}")
     try:
         x = float(arg)
     except ValueError:
-        raise ConfigError(f"theta: malformed argument in {rule!r}") from None
+        raise ConfigError(f"malformed argument in {rule!r}") from None
     if kind == "const":
         return x
     if kind == "log":
         return x * math.log(n)
     if kind == "loglog":
         if n < 2:
-            raise ConfigError(f"theta: {rule!r} is undefined at n={n}; loglog needs n >= 2")
+            raise ConfigError(f"{rule!r} is undefined at n={n}; loglog needs n >= 2")
         return x * math.log(math.log(n))
     if kind == "pow":
         try:
             return float(n) ** x
         except OverflowError:
-            raise ConfigError(f"theta: {rule!r} overflows at n={n}") from None
+            raise ConfigError(f"{rule!r} overflows at n={n}") from None
     return x * n
 
 
@@ -109,52 +112,12 @@ class ExperimentConfig:
     stationary_reps: int
     eps_grid: list
     count_means: list
-    conc_weight: str
-    conc_value: str
+    conc_weight: object
+    conc_value: object
     record: list
 
     def thetas(self):
         return [theta_value(self.theta_rule, n) for n in self.n_grid]
-
-
-def stationary_k_long(cfg):
-    """Steps the stationary kind runs: k_max, else the burn-in to
-    burn_tol.  Raises ConfigError unless (1-d)^k_long is below burn_tol."""
-    d, tol = cfg.model.d, cfg.burn_tol
-    k_long = cfg.k_max if cfg.k_max > 0 else burn_in_steps(d, tol)
-    try:
-        check_burned_in(d, k_long, tol)
-    except ValueError as exc:
-        raise ConfigError(f"k_max: {exc}") from None
-    return k_long
-
-
-def graph_size(cfg):
-    """The one graph size of a kind in SINGLE_SIZE_KINDS.  Raises
-    ConfigError when n_grid lists more than one."""
-    if len(cfg.n_grid) > 1:
-        raise ConfigError(f"n_grid: kind {cfg.kind} runs one graph size, "
-                          f"got {len(cfg.n_grid)}: {' '.join(map(str, cfg.n_grid))}")
-    return cfg.n_grid[0]
-
-
-def concentration_laws(cfg):
-    """The concentration kind's weight and value laws.  Raises
-    ConfigError when either is malformed or has support outside [0, H]
-    or [-1, 1]."""
-    laws, problems = [], []
-    for key, lo, hi in (("conc_weight", 0.0, cfg.model.H), ("conc_value", -1.0, 1.0)):
-        try:
-            law = parse_scalar(getattr(cfg, key))
-        except ValueError as exc:
-            problems.append(f"{key}: {exc}")
-            continue
-        if not supported_in(law, lo, hi):
-            problems.append(f"{key}: support outside [{lo:g}, {hi:g}]")
-        laws.append(law)
-    if problems:
-        raise ConfigError(problems)
-    return laws
 
 
 def _flatten_json(obj, prefix=""):
@@ -205,9 +168,13 @@ def _read_pairs(text):
     return pairs, problems
 
 
+
+
 # ---------------------------------------------------------------------------
 # Value parsers: (text, the values of the keys parsed before) -> value.  A
-# text out of bounds raises ValueError naming the problem.
+# parser holds its key's whole bound, also where the bound reads other keys;
+# a text out of bounds raises ValueError naming the problem.  values holds
+# "kind" only when the kind is valid, so a parser reads it with get.
 
 
 def _text(text, values):
@@ -232,7 +199,9 @@ def _integer(minimum):
     return parse
 
 
-def _real(positive=False):
+def _real(within=lambda x: True, need=""):
+    """A finite number x with within(x); need, formatted with x, is the
+    problem when it fails."""
     def parse(text, values):
         try:
             val = float(text)
@@ -240,10 +209,13 @@ def _real(positive=False):
             raise ValueError(f"not a number: {text!r}") from None
         if not math.isfinite(val):
             raise ValueError(f"must be finite, got {text!r}")
-        if positive and val <= 0:
-            raise ValueError(f"must be positive, got {val}")
+        if not within(val):
+            raise ValueError(need.format(x=val))
         return val
     return parse
+
+
+_positive = _real(lambda x: x > 0, "must be positive, got {x}")
 
 
 def _boolean(text, values):
@@ -267,38 +239,110 @@ def _rows(row):
     return parse
 
 
-def _sizes(text, values):
-    sizes = _tokens(_integer(1))(text, values)
-    if not sizes:
-        raise ValueError("must not be empty")
-    return sizes
+def _shares(text, values):
+    K = values["model.K"]
+    pi = np.array(_tokens(_real())(text, values))
+    if pi.shape != (K,):
+        raise ValueError(f"expected length {K}, got shape {pi.shape}")
+    if np.any(pi <= 0):
+        raise ValueError("all community shares must be positive")
+    if abs(pi.sum() - 1.0) > 1e-9:
+        raise ValueError(f"shares sum to {pi.sum()}, expected 1")
+    return pi
 
 
-def _matrix(text, values):
+def _kernel(text, values):
+    K = values["model.K"]
     rows = _rows(_tokens(_real()))(text, values)
     if len({len(row) for row in rows}) > 1:
         raise ValueError("rows differ in length")
-    return np.array(rows)
+    kappa = np.array(rows)
+    if kappa.shape != (K, K):
+        raise ValueError(f"expected shape {(K, K)}, got {kappa.shape}")
+    if np.any(kappa < 0):
+        raise ValueError("kernel entries must be nonnegative")
+    return kappa
+
+
+def _external_weight(text, values):
+    d = _real(lambda x: x > 0, "external weight must be positive")(text, values)
+    c = values["model.c"]
+    if c + d > 1 + 1e-12:
+        raise ValueError(f"c + d = {c + d} exceeds 1")
+    return d
 
 
 def _weight_laws(text, values):
-    """K x K laws, rows ';'-separated; one token is every entry's law."""
-    K = values["model.K"]
+    """K x K laws on [0, H], rows ';'-separated; one token is every entry's law."""
+    K, H = values["model.K"], values["model.H"]
     rows = _rows(lambda row, _: [parse_scalar(tok) for tok in row.split()])(text, values)
     if len(rows) == 1 and len(rows[0]) == 1:
-        return [rows[0] * K for _ in range(K)]
+        rows = [rows[0] * K for _ in range(K)]
+    if len(rows) != K or any(len(row) != K for row in rows):
+        raise ValueError(f"expected {K}x{K} entries")
+    for r, row in enumerate(rows):
+        for s, law in enumerate(row):
+            if not supported_in(law, 0.0, H):
+                raise ValueError(f"entry [{r}][{s}]: support outside [0, {H}]")
     return rows
 
 
 def _vector_laws(text, values):
-    """One ell-vector law per community, '|'-separated; one entry is every
+    """K ell-vector laws on [-1, 1]^ell, '|'-separated; one entry is every
     community's law."""
+    K = values["model.K"]
     laws = [parse_vector(part, values["model.ell"]) for part in text.split("|") if part.strip()]
-    return laws * values["model.K"] if len(laws) == 1 else laws
+    laws = laws * K if len(laws) == 1 else laws
+    if len(laws) != K:
+        raise ValueError(f"expected {K} entries")
+    for r, law in enumerate(laws):
+        if not supported_in(law, -1.0, 1.0):
+            raise ValueError(f"entry [{r}]: support outside [-1, 1]")
+    return laws
 
 
 def _initial_laws(text, values):
     return text if text == "beliefs" else _vector_laws(text, values)
+
+
+def _sizes(text, values):
+    sizes = _tokens(_integer(1))(text, values)
+    if not sizes:
+        raise ValueError("must not be empty")
+    kind = values.get("kind")
+    if kind in SINGLE_SIZE_KINDS and len(sizes) > 1:
+        raise ValueError(f"kind {kind} runs one graph size, "
+                         f"got {len(sizes)}: {' '.join(map(str, sizes))}")
+    return sizes
+
+
+def _theta_rule(text, values):
+    for n in values["n_grid"]:
+        theta = theta_value(text, n)
+        if not 0 < theta < math.inf:
+            raise ValueError(f"rule {text!r} gives theta={theta} at n={n}; "
+                             "need a finite positive value")
+    return text
+
+
+def _steps(text, values):
+    """k_max, where 0 runs the burn-in steps.  The stationary kind burns
+    in to burn_tol, and k_max must reach it: (1-d)^k_max below burn_tol."""
+    k, d = _integer(0)(text, values), values["model.d"]
+    if values.get("kind") != "stationary":
+        return k or burn_in_steps(d)
+    tol = values["burn_tol"]
+    k = k or burn_in_steps(d, tol)
+    check_burned_in(d, k, tol)
+    return k
+
+
+def _vertex_ids(text, values):
+    """Vertex ids below the one graph size n."""
+    ids, n = _tokens(_integer(0))(text, values), values["n_grid"][0]
+    if ids and max(ids) >= n:
+        raise ValueError(f"vertex ids must be below n = {n}, got {max(ids)}")
+    return ids
 
 
 def _function_ids(text, values):
@@ -308,14 +352,38 @@ def _function_ids(text, values):
     return fids
 
 
+def _set_functions(text, values):
+    """One ';'-separated row of function ids per vertex set, one id per vertex."""
+    rows, sets = _rows(_function_ids)(text, values), values["vertex_sets"]
+    if len(rows) != len(sets):
+        raise ValueError(f"{len(rows)} rows for {len(sets)} vertex sets; give one row per set")
+    for i, (vs, fids) in enumerate(zip(sets, rows)):
+        if len(fids) != len(vs):
+            raise ValueError(f"row {i} has {len(fids)} ids for {len(vs)} vertices")
+    return rows
+
+
+def _concentration_law(bounds):
+    """A scalar law; the concentration kind draws it, which needs its
+    support inside bounds(values)."""
+    def parse(text, values):
+        law = parse_scalar(text)
+        lo, hi = bounds(values)
+        if values.get("kind") == "concentration" and not supported_in(law, lo, hi):
+            raise ValueError(f"support outside [{lo:g}, {hi:g}]")
+        return law
+    return parse
+
+
 @dataclass
 class Key:
     """One config key.  ``default`` is the text the key takes when a
     config omits it, or a function of the values parsed before it that
     returns that text.  ``parse`` turns text into the value and holds
-    the bound; ``kinds`` are the experiment kinds that read the key;
-    ``field`` is the ExperimentConfig or ModelSpec field it fills;
-    ``reads`` are the keys that size its default or its bound."""
+    the whole bound; ``kinds`` are the experiment kinds that read the
+    key; ``field`` is the ExperimentConfig or ModelSpec field it fills;
+    ``reads`` are the keys whose values its default or its parser reads,
+    besides ``kind``."""
 
     name: str
     default: object
@@ -343,13 +411,13 @@ KEYS = {key.name: key for key in (
     Key("model.K", "1", _integer(1)),
     Key("model.ell", "1", _integer(1)),
     Key("model.pi", lambda v: " ".join([repr(1.0 / v["model.K"])] * v["model.K"]),
-        _tokens(_real()), reads=("model.K",)),
+        _shares, reads=("model.K",)),
     Key("model.kappa", lambda v: ";".join([" ".join(["1"] * v["model.K"])] * v["model.K"]),
-        _matrix, reads=("model.K",)),
-    Key("model.c", "0.3", _real()),
-    Key("model.d", "0.2", _real()),
-    Key("model.H", "1", _real()),
-    Key("model.signal_belief_weight", "0", _real()),
+        _kernel, reads=("model.K",)),
+    Key("model.c", "0.3", _real(lambda x: x >= 0, "network weight must be nonnegative")),
+    Key("model.d", "0.2", _external_weight, reads=("model.c",)),
+    Key("model.H", "1", _real(lambda x: x > 0, "weight cap must be positive")),
+    Key("model.signal_belief_weight", "0", _real(lambda x: 0 <= x <= 1, "must lie in [0, 1]")),
     Key("model.weights", "uniform:0,1", _weight_laws, field="weight_dists",
         reads=("model.K", "model.H")),
     Key("model.beliefs", "uniform:-1,1", _vector_laws, field="belief_dists", reads=_SIZES),
@@ -357,29 +425,31 @@ KEYS = {key.name: key for key in (
     Key("model.init", "uniform:-1,1", _initial_laws, field="init_dists", reads=_SIZES),
     Key("model.fixed_composition", "false", _boolean),
     Key("n_grid", "1000", _sizes, _GRAPH_KINDS),
-    Key("theta", "log:1", _text, _GRAPH_KINDS, field="theta_rule"),
+    Key("theta", "log:1", _theta_rule, _GRAPH_KINDS, field="theta_rule", reads=("n_grid",)),
     Key("inner_reps", "10", _integer(1),
         ("simulate", "error", "chaos", "stationary", "concentration")),
     Key("outer_reps", "1", _integer(1), ("error", "tree")),
-    # 0: derive from the contraction burn-in
-    Key("k_max", "0", _integer(0), ("simulate", "error", "stationary")),
-    Key("burn_tol", "1e-4", _real(positive=True), ("stationary",)),
+    Key("burn_tol", "1e-4", _positive, ("stationary",)),
+    Key("k_max", "0", _steps, ("simulate", "error", "stationary"),
+        reads=("model.d", "burn_tol")),
     Key("stationary_reps", "20000", _integer(1), ("stationary",)),
     Key("k", "2", _integer(0), ("chaos",)),
-    Key("vertex_sets", "0", _rows(_tokens(_integer(0))), ("chaos",)),
+    Key("vertex_sets", "0", _rows(_vertex_ids), ("chaos",), reads=("n_grid",)),
     Key("functions",
         lambda v: ";".join(" ".join([f"proj:0,{v['k']}"] * len(vs)) for vs in v["vertex_sets"]),
-        _rows(_function_ids), ("chaos",), reads=("model.ell", "k", "vertex_sets")),
+        _set_functions, ("chaos",), reads=("model.ell", "k", "vertex_sets")),
     Key("measure_functions", "", _function_ids, ("chaos",), reads=("model.ell", "k")),
     Key("limit_reps", "4000", _integer(1), ("chaos",)),
     Key("depth", "2", _integer(1), ("tree",)),
     Key("tree_reps", "10000", _integer(1), ("tree",)),
     Key("vertices_checked", "100", _integer(1), ("tree",)),
-    Key("eps_grid", "0.1 0.2 0.5", _tokens(_real(positive=True)), ("concentration",)),
-    Key("count_means", "50", _tokens(_real(positive=True)), ("concentration",)),
-    Key("conc_weight", "point:1", _text, ("concentration",)),
-    Key("conc_value", "uniform:-1,1", _text, ("concentration",)),
-    Key("record", "0", _tokens(_integer(0)), ("simulate",)),
+    Key("eps_grid", "0.1 0.2 0.5", _tokens(_positive), ("concentration",)),
+    Key("count_means", "50", _tokens(_positive), ("concentration",)),
+    Key("conc_weight", "point:1", _concentration_law(lambda v: (0.0, v["model.H"])),
+        ("concentration",), reads=("model.H",)),
+    Key("conc_value", "uniform:-1,1", _concentration_law(lambda v: (-1.0, 1.0)),
+        ("concentration",)),
+    Key("record", "0", _vertex_ids, ("simulate",), reads=("n_grid",)),
 )}
 
 
@@ -387,7 +457,9 @@ def parse_config(text, **overrides):
     """Parse and validate a config for the kind that runs; raises
     ConfigError carrying every violation.  Each override is the value
     text of a key (a run command's kind, --seed or --out) and replaces
-    the config's own, so that key's parser checks it."""
+    the config's own, so that key's parser checks it.  A key that fails
+    holds no value, and a key that reads one that failed is skipped, so
+    only the root key is reported."""
     pairs, problems = _read_pairs(text)
     pairs.update(overrides)
     kind = pairs.get("kind", KEYS["kind"].default)
@@ -399,68 +471,24 @@ def parse_config(text, **overrides):
                             f"it is read by {', '.join(key.kinds)}")
             given = None
         if not failed.isdisjoint(key.reads):
-            # sized by a value that failed: hold the default, so only the root key is reported
             failed.add(name)
-            given = None
+            continue
         try:
-            try:
-                values[name] = key.parse(key.default_text(values) if given is None else given,
-                                         values)
-            except ValueError as exc:
-                problems.append(f"{name}: {exc}")
-                failed.add(name)
-                values[name] = key.parse(key.default_text(values), values)
+            values[name] = key.parse(key.default_text(values) if given is None else given,
+                                     values)
+        except ValueError as exc:
+            problems.append(f"{name}: {exc}")
+            failed.add(name)
         except MemoryError:  # a default or value sized by a huge key, as K x K model.kappa
             at = ", ".join(f"{read} = {values[read]}" for read in key.reads)
             problems.append(f"{name}: does not fit in memory" + (at and f" at {at}"))
             raise ConfigError(problems) from None
     problems.extend(f"{name}: unknown key" for name in pairs)
+    if problems:
+        raise ConfigError(problems)
 
     def filled(model_keys):
         return {key.field: values[name] for name, key in KEYS.items()
                 if name.startswith("model.") == model_keys}
 
-    model = ModelSpec(**filled(True))
-    problems.extend(f"model.{issue}" for issue in model.validate())
-    cfg = ExperimentConfig(model=model, **filled(False))
-    _check_cross_keys(cfg, problems)
-    if problems:
-        raise ConfigError(problems)
-    return cfg
-
-
-def _check_cross_keys(cfg, problems):
-    """Append the problems of the checks that read several keys, for the
-    kind that runs; a key the kind does not read holds its default, which
-    passes them.  The stationary burn-in check runs only on an otherwise
-    valid config."""
-    for n in cfg.n_grid:
-        try:
-            theta = theta_value(cfg.theta_rule, n)
-        except ConfigError as exc:
-            problems.extend(exc.problems)
-            break
-        if not 0 < theta < math.inf:
-            problems.append(f"theta: rule {cfg.theta_rule!r} gives theta={theta} at n={n}; "
-                            "need a finite positive value")
-            break
-    # simulate records and chaos samples vertices of its one graph size
-    for key, ids in (("record", cfg.record), ("vertex_sets", sum(cfg.vertex_sets, []))):
-        if any(v >= cfg.n_grid[0] for v in ids):
-            problems.append(f"{key}: vertex ids must be below n = {cfg.n_grid[0]}, got {max(ids)}")
-    if len(cfg.functions) != len(cfg.vertex_sets):
-        problems.append(f"functions: {len(cfg.functions)} rows for {len(cfg.vertex_sets)} "
-                        "vertex sets; give one row per set")
-    for i, (vs, fids) in enumerate(zip(cfg.vertex_sets, cfg.functions)):
-        if len(fids) != len(vs):
-            problems.append(f"functions: row {i} has {len(fids)} ids for {len(vs)} vertices")
-    checks = [graph_size] if cfg.kind in SINGLE_SIZE_KINDS else []
-    if cfg.kind == "concentration":
-        checks.append(concentration_laws)
-    if cfg.kind == "stationary" and not problems:
-        checks.append(stationary_k_long)
-    for check in checks:
-        try:
-            check(cfg)
-        except ConfigError as exc:
-            problems.extend(exc.problems)
+    return ExperimentConfig(model=ModelSpec(**filled(True)), **filled(False))

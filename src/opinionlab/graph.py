@@ -77,10 +77,8 @@ class GraphSample:
     """
 
     n: int
-    theta: float
     labels: np.ndarray
     census: np.ndarray
-    pi_hat: np.ndarray
     indptr: np.ndarray
     sources: np.ndarray
     weights: np.ndarray
@@ -302,7 +300,6 @@ def sample_graph(spec, labels, theta, seed):
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.size
     census = np.bincount(labels, minlength=spec.K)
-    pi_hat = census.astype(float) / n
     edge_rng = substream(seed, rngmod.EDGES)
     weight_rng = substream(seed, rngmod.WEIGHTS)
     belief_rng = substream(seed, rngmod.BELIEFS)
@@ -332,7 +329,7 @@ def sample_graph(spec, labels, theta, seed):
                              sources, weights)
     beliefs = spec.sample_beliefs(labels, belief_rng)
     return GraphSample(
-        n=n, theta=float(theta), labels=labels, census=census, pi_hat=pi_hat,
+        n=n, labels=labels, census=census,
         indptr=indptr, sources=sources, weights=weights,
         beliefs=beliefs, no_inbound=degree == 0,
     )

@@ -22,15 +22,13 @@ import scipy
 from . import __version__
 from . import rng as rngmod
 from .rng import substream
-from .config import (
-    ConfigError, concentration_laws, graph_size, stationary_k_long, theta_value,
-)
+from .config import theta_value
 from .graph import normalize_weights, sample_graph, sample_labels
 from .dynamics import simulate
 from .meanfield import mixing_matrix, regime_stats
 from .gwtree import a_s_profile, neighborhood_diagnostic, offspring_means
 from .metrics import (
-    ConcentrationCase, burn_in_steps, chaos_experiment, concentration_check,
+    ConcentrationCase, chaos_experiment, concentration_check,
     error_experiment, label_point, stationarity_experiment,
 )
 
@@ -92,8 +90,6 @@ def run(cfg, out_dir=None):
         "simulate": _run_simulate,
         "meanfield": _run_meanfield,
     }
-    if cfg.kind not in dispatch:
-        raise ConfigError(f"kind: unknown experiment kind {cfg.kind!r}")
     summary, outputs = dispatch[cfg.kind](cfg, out)
     summary["kind"] = cfg.kind
     summary["seed"] = cfg.seed
@@ -133,14 +129,10 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _k_max(cfg):
-    return cfg.k_max if cfg.k_max > 0 else burn_in_steps(cfg.model.d)
-
-
 def _run_error(cfg, out):
     curve = error_experiment(
         cfg.model, cfg.n_grid, lambda n: theta_value(cfg.theta_rule, n),
-        _k_max(cfg), cfg.inner_reps, cfg.outer_reps, cfg.seed, threads=cfg.threads,
+        cfg.k_max, cfg.inner_reps, cfg.outer_reps, cfg.seed, threads=cfg.threads,
     )
     by_n = curve.by_n()
     rows = []
@@ -175,7 +167,7 @@ def _run_error(cfg, out):
 
 
 def _run_chaos(cfg, out):
-    n = graph_size(cfg)
+    n = cfg.n_grid[0]
     theta = theta_value(cfg.theta_rule, n)
     report = chaos_experiment(
         cfg.model, n, theta, cfg.k, cfg.vertex_sets, cfg.functions, cfg.inner_reps, cfg.seed,
@@ -204,11 +196,10 @@ def _joined(values):
 
 
 def _run_stationary(cfg, out):
-    n = graph_size(cfg)
+    n = cfg.n_grid[0]
     theta = theta_value(cfg.theta_rule, n)
-    k_long = stationary_k_long(cfg)
     report = stationarity_experiment(
-        cfg.model, n, theta, k_long, cfg.inner_reps, cfg.burn_tol, cfg.seed,
+        cfg.model, n, theta, cfg.k_max, cfg.inner_reps, cfg.burn_tol, cfg.seed,
         stationary_reps=cfg.stationary_reps, threads=cfg.threads,
     )
     rows = [
@@ -223,19 +214,18 @@ def _run_stationary(cfg, out):
          "stationary_estimate", "stationary_stderr", "gap", "combined_stderr"],
         rows,
     )
-    return {"n": n, "theta": theta, "k_long": k_long, "horizon": report.horizon,
+    return {"n": n, "theta": theta, "k_long": cfg.k_max, "horizon": report.horizon,
             "rows": report.rows}, ["stationarity.csv"]
 
 
 def _run_concentration(cfg, out):
-    weight_dist, value_dist = concentration_laws(cfg)
     rows = []
     summaries = []
     for case_idx, mean in enumerate(cfg.count_means):
         case = ConcentrationCase(
             count_dists=[("poisson", mean)],
-            weight_dist=weight_dist,
-            value_dist=value_dist,
+            weight_dist=cfg.conc_weight,
+            value_dist=cfg.conc_value,
             H=cfg.model.H,
             eps_grid=tuple(cfg.eps_grid),
         )
@@ -303,9 +293,8 @@ def _run_tree(cfg, out):
 
 def _run_simulate(cfg, out):
     spec = cfg.model
-    n = graph_size(cfg)
+    n, k_max = cfg.n_grid[0], cfg.k_max
     theta = theta_value(cfg.theta_rule, n)
-    k_max = _k_max(cfg)
     rows = []
     for rep in range(cfg.inner_reps):
         seed = (cfg.seed, rep)
@@ -325,7 +314,7 @@ def _run_simulate(cfg, out):
 
 def _run_meanfield(cfg, out):
     spec = cfg.model
-    n = graph_size(cfg)
+    n = cfg.n_grid[0]
     theta = theta_value(cfg.theta_rule, n)
     _, census, model, _ = label_point(spec, n, theta, (cfg.seed, 0))
     stats = regime_stats(spec, census / n, n, theta)

@@ -393,10 +393,13 @@ def stationarity_experiment(spec, n, theta, k_long, inner, tol, seed,
 
     tol gates the burn-in ((1-d)^k_long must be below it); the stationary
     sampler truncates at the tighter tol / 100 so its truncation bias is
-    negligible next to the burn-in one.
+    negligible next to the burn-in one.  A community without vertices
+    has no moments to compare and raises ValueError before any replica.
     """
     check_burned_in(spec.d, k_long, tol)
-    labels, _, model, _ = label_point(spec, n, theta, (seed, 0))
+    labels, census, model, _ = label_point(spec, n, theta, (seed, 0))
+    if not census.all():
+        raise ValueError(f"no vertices in community {int(np.argmin(census))} at n={n}")
 
     def unit(i):
         R = run_graph(spec, labels, theta, k_long, (seed, 0, i), lambda state, frame: None).R

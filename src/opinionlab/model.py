@@ -5,13 +5,17 @@ size: community count and shares, the edge kernel, averaging weights,
 and the distribution families for edge weights, internal beliefs and
 media signals.  The density parameter theta and the vertex count n are
 supplied per experiment point.
+
+A ``ModelSpec`` holds its parameters as given; the bounds in its
+docstring are checked where config text becomes a spec, by the parser
+of each ``model.*`` key in ``config.KEYS``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import VectorDist, sample_by_label, supported_in
+from .distributions import VectorDist, sample_by_label
 
 
 @dataclass
@@ -69,63 +73,6 @@ class ModelSpec:
 
             u = VectorDist(tuple(Uniform(-1.0, 1.0) for _ in range(self.ell)))
             self.init_dists = [u] * self.K
-
-    def validate(self):
-        """Return a list of invariant violations (empty when valid)."""
-        problems = []
-        if self.K < 1:
-            problems.append("K: community count must be >= 1")
-        if self.ell < 1:
-            problems.append("ell: topic count must be >= 1")
-        for name in ("pi", "kappa", "c", "d", "H", "signal_belief_weight"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                problems.append(f"{name}: must be finite")
-        if self.pi.shape != (self.K,):
-            problems.append(f"pi: expected length {self.K}, got shape {self.pi.shape}")
-        else:
-            if np.any(self.pi <= 0):
-                problems.append("pi: all community shares must be positive")
-            if abs(self.pi.sum() - 1.0) > 1e-9:
-                problems.append(f"pi: shares sum to {self.pi.sum()}, expected 1")
-        if self.kappa.shape != (self.K, self.K):
-            problems.append(f"kappa: expected shape {(self.K, self.K)}, got {self.kappa.shape}")
-        elif np.any(self.kappa < 0):
-            problems.append("kappa: kernel entries must be nonnegative")
-        if not self.d > 0:
-            problems.append("d: external weight must be positive")
-        if self.c < 0:
-            problems.append("c: network weight must be nonnegative")
-        if self.c + self.d > 1 + 1e-12:
-            problems.append(f"c,d: c + d = {self.c + self.d} exceeds 1")
-        if not self.H > 0:
-            problems.append("H: weight cap must be positive")
-        problems += self._validate_dists()
-        if not 0.0 <= self.signal_belief_weight <= 1.0:
-            problems.append("signal_belief_weight: must lie in [0, 1]")
-        return problems
-
-    def _validate_dists(self):
-        problems = []
-        if len(self.weight_dists) != self.K or any(len(row) != self.K for row in self.weight_dists):
-            problems.append(f"weight_dists: expected {self.K}x{self.K} entries")
-        else:
-            for r in range(self.K):
-                for s in range(self.K):
-                    if not supported_in(self.weight_dists[r][s], 0.0, self.H):
-                        problems.append(f"weight_dists[{r}][{s}]: support outside [0, {self.H}]")
-        vector_laws = [("belief_dists", self.belief_dists), ("signal_dists", self.signal_dists)]
-        if self.init_dists != "beliefs":
-            vector_laws.append(("init_dists", self.init_dists))
-        for name, dists in vector_laws:
-            if len(dists) != self.K:
-                problems.append(f"{name}: expected {self.K} entries")
-                continue
-            for r, dist in enumerate(dists):
-                if len(dist) != self.ell:
-                    problems.append(f"{name}[{r}]: expected {self.ell} components")
-                elif not supported_in(dist, -1.0, 1.0):
-                    problems.append(f"{name}[{r}]: support outside [-1, 1]")
-        return problems
 
     # ---- closed-form moments used by the mean-field construction ----
 

@@ -421,8 +421,7 @@ def test_neighborhood_isolated_vertex():
 def test_neighborhood_cycle_detected():
     spec = one_type_spec()
     graph = ol.GraphSample(
-        n=3, theta=1.0, labels=np.zeros(3, dtype=np.int64), census=np.array([3]),
-        pi_hat=np.array([1.0]),
+        n=3, labels=np.zeros(3, dtype=np.int64), census=np.array([3]),
         indptr=np.array([0, 1, 2, 3]),
         sources=np.array([1, 2, 0]),   # 0 <- 1 <- 2 <- 0
         weights=np.ones(3), beliefs=np.zeros((3, 1)),

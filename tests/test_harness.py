@@ -4,13 +4,14 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from opinionlab.config import KEYS, parse_config
-from opinionlab.harness import EXIT_CONFIG, EXIT_OK, run
+from opinionlab.harness import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, run
 from opinionlab.cli import main
 
 BASE_MODEL = """
@@ -217,8 +218,6 @@ def test_cli_budget_error_exit_code(tmp_path):
             "theta = const:10\n", ""
         )
     )
-    from opinionlab.harness import EXIT_RUNTIME
-
     assert main(["tree", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
 
 
@@ -412,6 +411,27 @@ def test_cli_negative_seed_flag_is_config_error(tmp_path, capsys, command):
     assert main(argv) == EXIT_CONFIG
     assert "config error: seed" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_stationary_empty_community_is_runtime_error(tmp_path, capsys, monkeypatch):
+    # n = 2 at shares 0.9 / 0.1 with fixed composition puts both vertices in community 0
+    cfg_path = tmp_path / "empty.cfg"
+    cfg_path.write_text(make_config("stationary", "stationary_reps = 10")
+                        .replace("n_grid = 120", "n_grid = 2")
+                        .replace("model.pi = 0.5 0.5", "model.pi = 0.9 0.1\nmodel.fixed_composition = true"))
+
+    def no_replica(*args, **kwargs):
+        raise AssertionError("a replica ran")
+
+    import opinionlab.metrics
+
+    monkeypatch.setattr(opinionlab.metrics, "run_graph", no_replica)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["stationary", "--config", str(cfg_path), "--out", str(out)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "runtime error: no vertices in community 1 at n=2\n"
+    assert not (out / "stationarity.csv").exists()
 
 
 def test_cli_stationary_short_k_max_exits_before_any_graph(tmp_path, capsys, monkeypatch):

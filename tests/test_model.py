@@ -17,44 +17,6 @@ def valid_kwargs():
     )
 
 
-def test_valid_spec_passes():
-    spec = ModelSpec(**valid_kwargs())
-    assert spec.validate() == []
-
-
-@pytest.mark.parametrize(
-    "mutate,needle",
-    [
-        (lambda kw: kw.update(pi=[0.5, 0.6]), "pi"),
-        (lambda kw: kw.update(pi=[1.0, 0.0]), "pi"),
-        (lambda kw: kw.update(kappa=[[1.0, -0.1], [1.0, 1.0]]), "kappa"),
-        (lambda kw: kw.update(d=0.0), "d"),
-        (lambda kw: kw.update(c=0.9, d=0.2), "c,d"),
-        (lambda kw: kw.update(H=0.0), "H"),
-        (lambda kw: kw.update(signal_belief_weight=1.5), "signal_belief_weight"),
-    ],
-)
-def test_invariant_violations_reported(mutate, needle):
-    kw = valid_kwargs()
-    mutate(kw)
-    problems = ModelSpec(**kw).validate()
-    assert any(needle in p for p in problems)
-
-
-def test_weight_support_outside_cap_reported():
-    kw = valid_kwargs()
-    kw["weight_dists"][0][1] = Uniform(0.0, 2.0)
-    problems = ModelSpec(**kw).validate()
-    assert any("weight_dists[0][1]" in p for p in problems)
-
-
-def test_belief_support_outside_range_reported():
-    kw = valid_kwargs()
-    kw["belief_dists"] = [VectorDist((Uniform(-2, 1),))] * 2
-    problems = ModelSpec(**kw).validate()
-    assert any("belief_dists[0]" in p for p in problems)
-
-
 def test_moment_matrices_shapes():
     spec = random_spec(42, K=3, ell=2)
     assert spec.weight_mean_matrix().shape == (3, 3)
@@ -70,7 +32,6 @@ def test_init_beliefs_mode():
     kw = valid_kwargs()
     kw["init_dists"] = "beliefs"
     spec = ModelSpec(**kw)
-    assert spec.validate() == []
     labels = np.array([0, 1, 0])
     beliefs = np.array([[0.1], [0.2], [0.3]])
     out = spec.sample_initial(labels, beliefs, np.random.default_rng(0))
