@@ -15,14 +15,11 @@ from .meanfield import (
     deterministic_profile, meanfield_trajectory, mixing_matrix, no_inbound_prob,
     regime_stats, share_mismatch, stationary_horizon,
 )
-from .gwtree import (
-    NeighborhoodDiagnostic, TreeBudgetError, a_s_profile, neighborhood_diagnostic,
-    offspring_means,
-)
+from .gwtree import TreeBudgetError, a_s_profile, neighborhood_diagnostic, offspring_means
 from .metrics import (
-    ChaosReport, ConcentrationCase, ConcentrationReport, ErrorCurve, ErrorPoint,
-    StationarityReport, burn_in_steps, chaos_experiment, concentration_check,
-    coupled_gap_run, error_experiment, parse_function, stationarity_experiment,
+    ConcentrationCase, ConcentrationReport, ErrorCurve, ErrorPoint, burn_in_steps,
+    chaos_experiment, concentration_check, coupled_gap_run, error_experiment, parse_function,
+    stationarity_experiment,
 )
 from .config import ConfigError, ExperimentConfig, parse_config, theta_value
 from .harness import run

@@ -250,7 +250,8 @@ def parse_vector(text, ell):
     if len(tokens) == 1:
         tokens = tokens * ell
     if len(tokens) != ell:
-        raise DistributionError(f"expected 1 or {ell} component tokens, got {len(tokens)}")
+        expected = "1 component token" if ell == 1 else f"1 or {ell} component tokens"
+        raise DistributionError(f"expected {expected}, got {len(tokens)}")
     return VectorDist(tuple(parse_scalar(tok) for tok in tokens))
 
 

@@ -78,7 +78,6 @@ class GraphSample:
 
     n: int
     labels: np.ndarray
-    census: np.ndarray
     indptr: np.ndarray
     sources: np.ndarray
     weights: np.ndarray
@@ -299,7 +298,6 @@ def sample_graph(spec, labels, theta, seed):
         raise ValueError("theta must be positive")
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.size
-    census = np.bincount(labels, minlength=spec.K)
     edge_rng = substream(seed, rngmod.EDGES)
     weight_rng = substream(seed, rngmod.WEIGHTS)
     belief_rng = substream(seed, rngmod.BELIEFS)
@@ -329,7 +327,7 @@ def sample_graph(spec, labels, theta, seed):
                              sources, weights)
     beliefs = spec.sample_beliefs(labels, belief_rng)
     return GraphSample(
-        n=n, labels=labels, census=census,
+        n=n, labels=labels,
         indptr=indptr, sources=sources, weights=weights,
         beliefs=beliefs, no_inbound=degree == 0,
     )

@@ -27,7 +27,6 @@ words, and a parent's leaf sum is affine in the exact integer sum of
 its k.  Other laws draw through their sample method.
 """
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -340,20 +339,11 @@ def a_s_profile(spec, root_type, s_max, value_dists, q, mixing, replications, se
 # Graph-side tree-likeness diagnostic
 
 
-@dataclass
-class NeighborhoodDiagnostic:
-    vertex: int
-    depth: int
-    tree_depth: int              # deepest generation with no repeated vertex
-
-    def is_tree(self, s=None):
-        s = self.depth if s is None else s
-        return self.tree_depth >= s
-
-
 def neighborhood_diagnostic(graph, vertex, depth, K=None, node_cap=2_000_000):
     """Unfold the inbound neighborhood of a vertex generation by
     generation; the unfolding is a tree exactly while no vertex repeats.
+    Returns the deepest generation (at most depth) with no repeated
+    vertex, so the neighborhood is a tree to depth s iff it is >= s.
     K is unused; perfbench/micro.py still passes it."""
     indptr, sources = graph.indptr, graph.sources
     frontier = np.array([vertex], dtype=np.int64)
@@ -373,4 +363,4 @@ def neighborhood_diagnostic(graph, vertex, depth, K=None, node_cap=2_000_000):
         frontier = nxt
         if frontier.size == 0:
             break
-    return NeighborhoodDiagnostic(vertex=int(vertex), depth=depth, tree_depth=tree_depth)
+    return tree_depth

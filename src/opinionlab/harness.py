@@ -1,5 +1,11 @@
 """Experiment orchestration, CSV/JSON persistence, run manifest.
 
+Each kind returns its summary and its files, a map from output name to
+(header, rows) for a CSV and to a JSON-able object for a JSON file.
+``run`` creates the output directory and writes the files only after
+the kind has finished, so a run that fails leaves no output directory,
+and a directory that already existed is left as it was.
+
 For a fixed (config, seed) every output byte is reproducible except the
 manifest's timestamp, wall time, thread count, cores available and peak
 RSS.  CSVs are UTF-8, comma-separated with LF line endings and a header
@@ -65,22 +71,13 @@ def config_hash(cfg):
     """Digest of the config fields that can change output bytes: the
     canonical JSON of the parsed config with threads and out blanked."""
     text = json.dumps(dataclasses.replace(cfg, threads=1, out=""), sort_keys=True,
-                      default=_hash_default)
+                      default=_json_default)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _hash_default(obj):
-    """A dataclass as its type name and field values; else _json_default."""
-    if dataclasses.is_dataclass(obj):
-        return [type(obj).__name__, {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}]
-    return _json_default(obj)
 
 
 def run(cfg, out_dir=None):
     """Execute one experiment; returns the machine-readable summary."""
     started = time.time()
-    out = Path(out_dir if out_dir is not None else cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     dispatch = {
         "error": _run_error,
         "chaos": _run_chaos,
@@ -90,13 +87,18 @@ def run(cfg, out_dir=None):
         "simulate": _run_simulate,
         "meanfield": _run_meanfield,
     }
-    summary, outputs = dispatch[cfg.kind](cfg, out)
-    summary["kind"] = cfg.kind
-    summary["seed"] = cfg.seed
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
-    manifest = {
+    summary, files = dispatch[cfg.kind](cfg)
+    # a copy: the meanfield summary is also its model_report.json
+    summary = dict(summary, kind=cfg.kind, seed=cfg.seed)
+    files["summary.json"] = summary
+    out = Path(out_dir if out_dir is not None else cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        if name.endswith(".csv"):
+            write_csv(out / name, *content)
+        else:
+            _write_json(out / name, content)
+    _write_json(out / "manifest.json", {
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
         "kind": cfg.kind,
@@ -109,17 +111,24 @@ def run(cfg, out_dir=None):
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
-        "outputs": sorted(outputs + ["summary.json"]),
+        "outputs": sorted(files),
         "wall_time_s": time.time() - started,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return summary
 
 
+def _write_json(path, obj):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
+        fh.write("\n")
+
+
 def _json_default(obj):
+    """A dataclass as its type name and field values; numpy scalars and
+    arrays as Python values."""
+    if dataclasses.is_dataclass(obj):
+        return [type(obj).__name__, {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):
@@ -129,7 +138,7 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _run_error(cfg, out):
+def _run_error(cfg):
     curve = error_experiment(
         cfg.model, cfg.n_grid, lambda n: theta_value(cfg.theta_rule, n),
         cfg.k_max, cfg.inner_reps, cfg.outer_reps, cfg.seed, threads=cfg.threads,
@@ -145,11 +154,6 @@ def _run_error(cfg, out):
                 rows.append((n, theta, k, norm, est, se, reps, dense))
         for norm, key in (("inf", "sup_inf"), ("row_l1", "sup_row")):
             rows.append((n, theta, -1, norm, agg[key], agg[key + "_se"], reps, dense))
-    write_csv(
-        out / "error_curve.csv",
-        ["n", "theta", "k", "norm_type", "estimate", "stderr", "reps", "dense_ok"],
-        rows,
-    )
     summary = {
         "k_max": curve.k_max,
         "points": [
@@ -163,13 +167,14 @@ def _run_error(cfg, out):
             for p in curve.points
         ],
     }
-    return summary, ["error_curve.csv"]
+    return summary, {"error_curve.csv": (
+        ["n", "theta", "k", "norm_type", "estimate", "stderr", "reps", "dense_ok"], rows)}
 
 
-def _run_chaos(cfg, out):
+def _run_chaos(cfg):
     n = cfg.n_grid[0]
     theta = theta_value(cfg.theta_rule, n)
-    report = chaos_experiment(
+    chaos_rows = chaos_experiment(
         cfg.model, n, theta, cfg.k, cfg.vertex_sets, cfg.functions, cfg.inner_reps, cfg.seed,
         measure_functions=cfg.measure_functions, limit_reps=cfg.limit_reps,
         threads=cfg.threads,
@@ -178,15 +183,11 @@ def _run_chaos(cfg, out):
         (n, cfg.k, row["statistic"], _joined(row["vertices"]), _joined(row["communities"]),
          _joined(row["functions"]), row["graph_estimate"], row["graph_se"],
          row["limit_estimate"], row["limit_se"], row["gap"])
-        for row in report.rows
+        for row in chaos_rows
     ]
-    write_csv(
-        out / "chaos.csv",
+    return {"n": n, "theta": theta, "rows": chaos_rows}, {"chaos.csv": (
         ["n", "k", "statistic", "vertices", "communities", "functions",
-         "graph_estimate", "graph_stderr", "limit_estimate", "limit_stderr", "gap"],
-        rows,
-    )
-    return {"n": n, "theta": theta, "rows": report.rows}, ["chaos.csv"]
+         "graph_estimate", "graph_stderr", "limit_estimate", "limit_stderr", "gap"], rows)}
 
 
 def _joined(values):
@@ -195,10 +196,10 @@ def _joined(values):
     return values if isinstance(values, str) else " ".join(map(str, values))
 
 
-def _run_stationary(cfg, out):
+def _run_stationary(cfg):
     n = cfg.n_grid[0]
     theta = theta_value(cfg.theta_rule, n)
-    report = stationarity_experiment(
+    stat_rows, horizon = stationarity_experiment(
         cfg.model, n, theta, cfg.k_max, cfg.inner_reps, cfg.burn_tol, cfg.seed,
         stationary_reps=cfg.stationary_reps, threads=cfg.threads,
     )
@@ -206,19 +207,15 @@ def _run_stationary(cfg, out):
         (n, theta, row["community"], row["topic"], row["moment"],
          row["graph_estimate"], row["graph_se"], row["limit_estimate"],
          row["limit_se"], row["gap"], row["combined_se"])
-        for row in report.rows
+        for row in stat_rows
     ]
-    write_csv(
-        out / "stationarity.csv",
+    return {"n": n, "theta": theta, "k_long": cfg.k_max, "horizon": horizon,
+            "rows": stat_rows}, {"stationarity.csv": (
         ["n", "theta", "community", "topic", "moment", "graph_estimate", "graph_stderr",
-         "stationary_estimate", "stationary_stderr", "gap", "combined_stderr"],
-        rows,
-    )
-    return {"n": n, "theta": theta, "k_long": cfg.k_max, "horizon": report.horizon,
-            "rows": report.rows}, ["stationarity.csv"]
+         "stationary_estimate", "stationary_stderr", "gap", "combined_stderr"], rows)}
 
 
-def _run_concentration(cfg, out):
+def _run_concentration(cfg):
     rows = []
     summaries = []
     for case_idx, mean in enumerate(cfg.count_means):
@@ -237,15 +234,12 @@ def _run_concentration(cfg, out):
             )
         summaries.append({"case": f"poisson:{mean:g}", "mu": report.mu, "nu": report.nu,
                           "rows": report.rows})
-    write_csv(
-        out / "concentration.csv",
+    return {"cases": summaries}, {"concentration.csv": (
         ["case", "epsilon", "statistic", "empirical_tail", "stderr", "bound", "replications"],
-        rows,
-    )
-    return {"cases": summaries}, ["concentration.csv"]
+        rows)}
 
 
-def _run_tree(cfg, out):
+def _run_tree(cfg):
     spec = cfg.model
     scaling_rows = []
     diag_rows = []
@@ -271,27 +265,19 @@ def _run_tree(cfg, out):
             pick = substream((cfg.seed, point_idx, g), rngmod.TREE)
             vertices = pick.choice(n, size=min(cfg.vertices_checked, n), replace=False)
             for v in vertices:
-                diag = neighborhood_diagnostic(graph, int(v), cfg.depth)
                 checked += 1
-                non_tree += 0 if diag.is_tree() else 1
+                non_tree += neighborhood_diagnostic(graph, int(v), cfg.depth) < cfg.depth
         diag_rows.append((n, theta, cfg.depth, checked,
                           non_tree / checked if checked else 0.0))
-    write_csv(
-        out / "tree_scaling.csv",
-        ["theta", "root_type", "s", "estimate", "stderr", "replications"],
-        scaling_rows,
-    )
-    write_csv(
-        out / "tree_diagnostic.csv",
-        ["n", "theta", "depth", "vertex_count_checked", "non_tree_fraction"],
-        diag_rows,
-    )
-    return {"scaling": scaling_rows, "diagnostic": diag_rows}, [
-        "tree_scaling.csv", "tree_diagnostic.csv",
-    ]
+    return {"scaling": scaling_rows, "diagnostic": diag_rows}, {
+        "tree_scaling.csv": (
+            ["theta", "root_type", "s", "estimate", "stderr", "replications"], scaling_rows),
+        "tree_diagnostic.csv": (
+            ["n", "theta", "depth", "vertex_count_checked", "non_tree_fraction"], diag_rows),
+    }
 
 
-def _run_simulate(cfg, out):
+def _run_simulate(cfg):
     spec = cfg.model
     n, k_max = cfg.n_grid[0], cfg.k_max
     theta = theta_value(cfg.theta_rule, n)
@@ -304,15 +290,12 @@ def _run_simulate(cfg, out):
             for t in range(k_max + 1):
                 for topic in range(spec.ell):
                     rows.append((rep, int(v), int(community), t, topic, float(values[topic, t])))
-    write_csv(
-        out / "trajectories.csv",
-        ["replication", "vertex", "community", "time", "topic", "value"],
-        rows,
-    )
-    return {"n": n, "theta": theta, "k_max": k_max, "recorded": cfg.record}, ["trajectories.csv"]
+    return {"n": n, "theta": theta, "k_max": k_max, "recorded": cfg.record}, {
+        "trajectories.csv": (["replication", "vertex", "community", "time", "topic", "value"],
+                             rows)}
 
 
-def _run_meanfield(cfg, out):
+def _run_meanfield(cfg):
     spec = cfg.model
     n = cfg.n_grid[0]
     theta = theta_value(cfg.theta_rule, n)
@@ -337,7 +320,4 @@ def _run_meanfield(cfg, out):
             "nonzero_rows": stats.nonzero_rows.tolist(),
         },
     }
-    with open(out / "model_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return report, ["model_report.json"]
+    return report, {"model_report.json": report}

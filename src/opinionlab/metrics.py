@@ -291,20 +291,13 @@ def _compare_row(graph_samples, limit_factors, limit_scale=1.0):
             "combined_se": math.sqrt(graph_se**2 + limit_se**2)}
 
 
-@dataclass
-class ChaosReport:
-    n: int
-    theta: float
-    k: int
-    reps: int
-    rows: list   # dicts: product rows per vertex set and pooled pair, then measure rows
-
-
 def chaos_experiment(spec, n, theta, k, vertex_sets, set_functions, inner, seed,
                      measure_functions=(), limit_reps=4000, threads=1,
                      pooled_pairs=(), pooled_functions=()):
     """Estimate both sides of the trajectory factorization for vertex
-    sets, and the per-community empirical-measure functionals.
+    sets, and the per-community empirical-measure functionals; returns
+    the row dicts: product rows per vertex set and pooled pair, then
+    measure rows.
 
     Every row is a pool: equal-length vertex columns, one per factor,
     whose sample is the mean over the pool's rows of the product of the
@@ -365,31 +358,21 @@ def chaos_experiment(spec, n, theta, k, vertex_sets, set_functions, inner, seed,
     limit_rng = substream(seed, rngmod.STATIONARY, 1)
     limit_draws = [limit_trajectory_draws(spec, model, profile, r, k, limit_reps, limit_rng)
                    for r in range(spec.K)]
-    rows = [{**fields, **_compare_row(
+    return [{**fields, **_compare_row(
                 samples[:, idx], [f(limit_draws[r]) for r, f in zip(fields["communities"], fs)],
                 limit_scale)}
             for idx, (fields, _, fs, _, limit_scale) in enumerate(pools)]
-    return ChaosReport(n=n, theta=float(theta), k=k, reps=inner, rows=rows)
 
 
 # ---------------------------------------------------------------------------
 # stationarity / limit exchange
 
 
-@dataclass
-class StationarityReport:
-    n: int
-    theta: float
-    k_long: int
-    reps: int
-    horizon: int
-    rows: list  # dicts per (community, topic, moment)
-
-
 def stationarity_experiment(spec, n, theta, k_long, inner, tol, seed,
                             stationary_reps=20000, threads=1):
     """Compare long-run per-community moments of the graph process with
-    Monte Carlo moments of the truncated stationary law.
+    Monte Carlo moments of the truncated stationary law; returns the row
+    dicts per (community, topic, moment) and the sampler's horizon.
 
     tol gates the burn-in ((1-d)^k_long must be below it); the stationary
     sampler truncates at the tighter tol / 100 so its truncation bias is
@@ -416,10 +399,7 @@ def stationarity_experiment(spec, n, theta, k_long, inner, tol, seed,
             rows.extend({"community": r, "topic": topic, "moment": moment,
                          **_compare_row(moments[:, m, r, topic], [stat_vals[:, topic]])}
                         for topic in range(spec.ell))
-    return StationarityReport(
-        n=n, theta=float(theta), k_long=k_long, reps=inner,
-        horizon=sampler.horizon, rows=rows,
-    )
+    return rows, sampler.horizon
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +452,6 @@ def ratio_deviation_bound(eps, mu, nu, H):
 
 @dataclass
 class ConcentrationReport:
-    case: ConcentrationCase
-    replications: int
     mu: float
     nu: float
     rows: list
@@ -538,4 +516,4 @@ def concentration_check(case, replications, seed):
                 raise RuntimeError(
                     f"{stat} tail {emp:.4g} exceeds bound {bound:.4g} + 3 se at eps={eps}"
                 )
-    return ConcentrationReport(case=case, replications=replications, mu=mu, nu=nu, rows=rows)
+    return ConcentrationReport(mu=mu, nu=nu, rows=rows)

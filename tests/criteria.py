@@ -245,13 +245,13 @@ def criterion_7(seed=31, threads=1, n_grid=None):
         labels = ol.sample_labels(spec, n, (seed, 0))
         i1 = int(np.flatnonzero(labels == 0)[0])
         i2 = int(np.flatnonzero(labels == 1)[0])
-        rep = ol.chaos_experiment(
+        chaos_rows = ol.chaos_experiment(
             spec, n, float(n) ** 0.6, k, [[i1, i2]], [[fid, fid]], reps.get(n, reps[max(reps)]),
             seed, limit_reps=4000, threads=threads, pooled_pairs=[(0, 1)],
             pooled_functions=[[fid, fid]],
         )
         rows = {r["vertices"] if isinstance(r["vertices"], str) else "fixed": r
-                for r in rep.rows}
+                for r in chaos_rows}
         for tag in ("fixed", "pooled"):
             r = rows[tag]
             band = r["graph_se"] + r["limit_se"]
@@ -275,16 +275,16 @@ def criterion_8(seed=77, threads=1):
     )
     k_long = burn_in_steps(spec.d, burn_tol)
     assert (1 - spec.d) ** k_long < burn_tol
-    rep = ol.stationarity_experiment(spec, n, theta, k_long, 40, burn_tol, seed,
-                                     stationary_reps=20_000, threads=threads)
-    mean_row = next(r for r in rep.rows if r["moment"] == "mean")
+    stat_rows, _ = ol.stationarity_experiment(spec, n, theta, k_long, 40, burn_tol, seed,
+                                              stationary_reps=20_000, threads=threads)
+    mean_row = next(r for r in stat_rows if r["moment"] == "mean")
     bound = 3 * mean_row["combined_se"]
     stochastic_ok = mean_row["gap"] <= bound
 
     det_spec = dataclasses.replace(spec, signal_dists=[VectorDist((Point(0.3),))])
-    det_rep = ol.stationarity_experiment(det_spec, n, theta, k_long, 5, burn_tol, seed + 1,
-                                         stationary_reps=200, threads=threads)
-    det_row = next(r for r in det_rep.rows if r["moment"] == "mean")
+    det_rows, _ = ol.stationarity_experiment(det_spec, n, theta, k_long, 5, burn_tol, seed + 1,
+                                             stationary_reps=200, threads=threads)
+    det_row = next(r for r in det_rows if r["moment"] == "mean")
     det_ok = det_row["gap"] < 1e-3
     return stochastic_ok and det_ok, (
         f"stochastic gap {mean_row['gap']:.2e} <= 3se {bound:.2e} "

@@ -164,6 +164,8 @@ BOUNDS = [
      "model.beliefs: expected 2 entries"),
     ("error", {"model.ell": "2", "model.beliefs": "point:0 point:0 point:0"},
      "model.beliefs: expected 1 or 2 component tokens, got 3"),
+    ("error", {"model.ell": "1", "model.beliefs": "point:0 point:0"},
+     "model.beliefs: expected 1 component token, got 2"),
     ("error", {"model.beliefs": "uniform:-2,1"}, "model.beliefs: entry [0]: support outside [-1, 1]"),
     ("error", {"model.signals": "point:0.1 | point:1.5"},
      "model.signals: entry [1]: support outside [-1, 1]"),

@@ -100,6 +100,8 @@ def test_golden_digests(kind, tmp_path):
         out = tmp_path / f"t{threads}"
         run(cfg, out)
         assert output_digests(out) == DIGESTS[kind], f"{kind} at threads={threads}"
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["outputs"] == sorted(output_digests(out)), f"{kind} at threads={threads}"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

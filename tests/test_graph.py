@@ -427,7 +427,7 @@ def test_normalize_leaves_graph_arrays_alone():
 def test_normalize_hand_case():
     spec = one_community_spec(weight=Uniform(0.0, 1.0))
     g = ol.GraphSample(
-        n=4, labels=np.zeros(4, dtype=np.int64), census=np.array([4]),
+        n=4, labels=np.zeros(4, dtype=np.int64),
         indptr=np.array([0, 3, 4, 4, 4]), sources=np.array([1, 2, 3, 0]),
         weights=np.array([1.0, 1.0, 2.0, 1.0]), beliefs=np.zeros((4, 1)),
         no_inbound=np.array([False, False, True, True]),

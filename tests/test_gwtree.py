@@ -413,24 +413,19 @@ def test_neighborhood_isolated_vertex():
     spec.kappa = np.array([[0.0]])
     labels = ol.sample_labels(spec, 20, 2)
     graph = ol.sample_graph(spec, labels, 5.0, 2)
-    diag = ol.neighborhood_diagnostic(graph, 0, 3)
-    assert diag.is_tree()
-    assert diag.tree_depth == 3
+    assert ol.neighborhood_diagnostic(graph, 0, 3) == 3
 
 
 def test_neighborhood_cycle_detected():
     spec = one_type_spec()
     graph = ol.GraphSample(
-        n=3, labels=np.zeros(3, dtype=np.int64), census=np.array([3]),
+        n=3, labels=np.zeros(3, dtype=np.int64),
         indptr=np.array([0, 1, 2, 3]),
         sources=np.array([1, 2, 0]),   # 0 <- 1 <- 2 <- 0
         weights=np.ones(3), beliefs=np.zeros((3, 1)),
         no_inbound=np.zeros(3, dtype=bool),
     )
-    diag = ol.neighborhood_diagnostic(graph, 0, 3)
-    assert not diag.is_tree(3)
-    assert diag.tree_depth == 2
-    assert diag.is_tree(2) and diag.is_tree(1)
+    assert ol.neighborhood_diagnostic(graph, 0, 3) == 2
 
 
 def test_neighborhood_monotone_tree_flags():
@@ -438,9 +433,9 @@ def test_neighborhood_monotone_tree_flags():
     labels = ol.sample_labels(spec, 300, 5)
     graph = ol.sample_graph(spec, labels, 4.0, 5)
     for v in range(0, 300, 37):
-        diag = ol.neighborhood_diagnostic(graph, v, 3)
-        for s in range(diag.tree_depth + 1):
-            assert diag.is_tree(s)
+        tree_depth = ol.neighborhood_diagnostic(graph, v, 3)
+        for s in range(1, 4):
+            assert ol.neighborhood_diagnostic(graph, v, s) == min(s, tree_depth)
 
 
 def test_sparse_neighborhoods_mostly_trees():
@@ -455,9 +450,8 @@ def test_sparse_neighborhoods_mostly_trees():
             graph = ol.sample_graph(spec, labels, theta, (7, g_seed))
             rng = np.random.default_rng(g_seed)
             for v in rng.choice(n, size=40, replace=False):
-                diag = ol.neighborhood_diagnostic(graph, int(v), 2)
                 total += 1
-                bad += 0 if diag.is_tree() else 1
+                bad += ol.neighborhood_diagnostic(graph, int(v), 2) < 2
         fractions.append(bad / total)
     assert fractions[1] < 0.05
     assert fractions[1] <= fractions[0]

@@ -431,7 +431,7 @@ def test_cli_stationary_empty_community_is_runtime_error(tmp_path, capsys, monke
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["stationary", "--config", str(cfg_path), "--out", str(out)]) == EXIT_RUNTIME
     assert capsys.readouterr().err == "runtime error: no vertices in community 1 at n=2\n"
-    assert not (out / "stationarity.csv").exists()
+    assert not out.exists()
 
 
 def test_cli_stationary_short_k_max_exits_before_any_graph(tmp_path, capsys, monkeypatch):

@@ -394,7 +394,7 @@ def test_trajectory_entries_bounded():
     n = 60
     labels = ol.sample_labels(spec, n, 5)
     graph = ol.sample_graph(spec, labels, 6.0, 5)
-    model = build_meanfield_model(spec, n, 6.0, graph.census)
+    model = build_meanfield_model(spec, n, 6.0, np.bincount(graph.labels, minlength=spec.K))
     rng = np.random.default_rng(6)
     for r in range(spec.K):
         q = spec.belief_dists[r].sample(rng)
@@ -442,7 +442,7 @@ def test_stationary_matches_long_simulation_deterministic():
     graph = ol.sample_graph(spec, labels, 60.0, 2)
     C = ol.normalize_weights(graph)
     _, state = ol.simulate(spec, graph, C, 200, 2)
-    model = build_meanfield_model(spec, n, 60.0, graph.census)
+    model = build_meanfield_model(spec, n, 60.0, np.bincount(graph.labels, minlength=spec.K))
     draw = StationarySampler(spec, model, 1e-10).sample(0, np.random.default_rng(3))
     assert np.abs(state.R - draw).max() < 1e-6
 

@@ -194,23 +194,23 @@ def chaos_spec():
 
 def test_chaos_single_vertex_gap_is_noise():
     spec = chaos_spec()
-    report = ol.chaos_experiment(
+    rows = ol.chaos_experiment(
         spec, 300, 60.0, 2, [[0]], [["proj:0,2"]], 60, 17, limit_reps=2000
     )
-    row = report.rows[0]
+    row = rows[0]
     # m = 1: factorization is an identity, the gap is Monte Carlo noise
     assert row["gap"] <= 4 * (row["graph_se"] + row["limit_se"]) + 0.01
 
 
 def test_chaos_constant_function_recovers_shares():
     spec = chaos_spec()
-    report = ol.chaos_experiment(
+    rows = ol.chaos_experiment(
         spec, 200, 40.0, 1, [[0]], [["one"]], 5, 19,
         measure_functions=["one"], limit_reps=500,
     )
     labels = ol.sample_labels(spec, 200, (19, 0))
     shares = np.bincount(labels, minlength=2) / 200
-    for row in (r for r in report.rows if r["statistic"] == "measure"):
+    for row in (r for r in rows if r["statistic"] == "measure"):
         (community,) = row["communities"]
         assert row["graph_estimate"] == pytest.approx(shares[community])
         assert row["graph_se"] == pytest.approx(0.0, abs=1e-15)
@@ -221,12 +221,12 @@ def test_chaos_single_limit_draw_has_zero_stderr():
     # one limit draw: its standard errors are 0.0, as for one graph replication
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = ol.chaos_experiment(
+        rows = ol.chaos_experiment(
             chaos_spec(), 100, 20.0, 1, [[0]], [["proj:0,1"]], 3, 29,
             measure_functions=["proj:0,1"], limit_reps=1,
         )
-    assert [row["limit_se"] for row in report.rows if row["statistic"] == "measure"] == [0.0, 0.0]
-    assert report.rows[0]["limit_se"] == 0.0
+    assert [row["limit_se"] for row in rows if row["statistic"] == "measure"] == [0.0, 0.0]
+    assert rows[0]["limit_se"] == 0.0
 
 
 def test_chaos_fixed_set_is_a_pool_of_one_row():
@@ -237,11 +237,11 @@ def test_chaos_fixed_set_is_a_pool_of_one_row():
     pair = [int(np.flatnonzero(labels == r)[0]) for r in (0, 1)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = ol.chaos_experiment(
+        rows = ol.chaos_experiment(
             spec, 2, 1.0, 2, [pair], [["proj:0,2", "proj:0,1"]], 6, 37, limit_reps=50,
             pooled_pairs=[(0, 1)], pooled_functions=[["proj:0,2", "proj:0,1"]],
         )
-    fixed, pooled = report.rows
+    fixed, pooled = rows
     assert fixed["vertices"] == tuple(pair) and pooled["vertices"] == "pooled"
     assert fixed["communities"] == pooled["communities"] == (0, 1)
     assert {k: v for k, v in fixed.items() if k != "vertices"} == \
@@ -255,11 +255,11 @@ def test_chaos_factorization_gap_shrinks_with_n():
         labels = ol.sample_labels(spec, n, (23, 0))
         i1 = int(np.flatnonzero(labels == 0)[0])
         i2 = int(np.flatnonzero(labels == 1)[0])
-        report = ol.chaos_experiment(
+        rows = ol.chaos_experiment(
             spec, n, float(n) ** 0.8, 2, [[i1, i2]], [["proj:0,2", "proj:0,2"]],
             400, 23, limit_reps=2000,
         )
-        gaps[n] = report.rows[0]
+        gaps[n] = rows[0]
     assert gaps[640]["gap"] < gaps[80]["gap"]
 
 
@@ -269,9 +269,9 @@ def test_chaos_measure_row_of_an_empty_community():
     assert np.bincount(ol.sample_labels(spec, 2, (41, 0)), minlength=2).tolist() == [2, 0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = ol.chaos_experiment(spec, 2, 1.0, 1, [[0]], [["proj:0,1"]], 4, 41,
-                                     measure_functions=["proj:0,1"], limit_reps=50)
-    row = report.rows[-1]
+        rows = ol.chaos_experiment(spec, 2, 1.0, 1, [[0]], [["proj:0,1"]], 4, 41,
+                                   measure_functions=["proj:0,1"], limit_reps=50)
+    row = rows[-1]
     assert row["statistic"] == "measure" and row["communities"] == (1,)
     assert row["graph_estimate"] == row["graph_se"] == 0.0
     # the limit side as chaos_experiment draws it: every community, in order
@@ -294,11 +294,11 @@ def test_every_comparison_row_has_the_estimator_keys():
         pooled_pairs=[(0, 1)], pooled_functions=[["proj:0,1", "proj:0,1"]],
     )
     spec = random_spec(6)
-    stationary = ol.stationarity_experiment(spec, 50, 5.0, burn_in_steps(spec.d, 1e-3), 2,
-                                            1e-3, 1, stationary_reps=30)
-    assert [row["statistic"] for row in chaos.rows] == ["product"] * 2 + ["measure"] * 4
-    for rows, fields in ((chaos.rows, {"statistic", "vertices", "communities", "functions"}),
-                         (stationary.rows, {"community", "topic", "moment"})):
+    stationary, _ = ol.stationarity_experiment(spec, 50, 5.0, burn_in_steps(spec.d, 1e-3), 2,
+                                               1e-3, 1, stationary_reps=30)
+    assert [row["statistic"] for row in chaos] == ["product"] * 2 + ["measure"] * 4
+    for rows, fields in ((chaos, {"statistic", "vertices", "communities", "functions"}),
+                         (stationary, {"community", "topic", "moment"})):
         for row in rows:
             assert set(row) == ESTIMATOR_KEYS | fields
             assert row["gap"] == abs(row["graph_estimate"] - row["limit_estimate"])
@@ -320,10 +320,10 @@ def test_stationarity_deterministic_signals_match_exactly():
         signal_dists=[VectorDist((Point(z),))],
     )
     k_long = burn_in_steps(spec.d, 1e-5)
-    report = ol.stationarity_experiment(
+    rows, _ = ol.stationarity_experiment(
         spec, 120, 80.0, k_long, 3, 1e-5, 3, stationary_reps=200
     )
-    mean_row = next(r for r in report.rows if r["moment"] == "mean")
+    mean_row = next(r for r in rows if r["moment"] == "mean")
     assert mean_row["gap"] < 1e-3
     assert mean_row["limit_estimate"] == pytest.approx(z, abs=1e-4)
 
@@ -338,10 +338,10 @@ def test_stationarity_bot_community_geometric_series():
         signal_dists=[VectorDist((Point(z),))],
     )
     k_long = burn_in_steps(spec.d, 1e-6)
-    report = ol.stationarity_experiment(spec, 60, 5.0, k_long, 2, 1e-6, 5, stationary_reps=100)
+    rows, _ = ol.stationarity_experiment(spec, 60, 5.0, k_long, 2, 1e-6, 5, stationary_reps=100)
     w = spec.d * z + spec.c * q
     expected = w / (spec.c + spec.d)  # sum over t of (1-c-d)^t * w
-    mean_row = next(r for r in report.rows if r["moment"] == "mean")
+    mean_row = next(r for r in rows if r["moment"] == "mean")
     assert mean_row["limit_estimate"] == pytest.approx(expected, abs=1e-4)
     assert mean_row["gap"] < 1e-3
 
